@@ -1,13 +1,14 @@
 GO ?= go
 
-.PHONY: all check build vet fmt test race bench bench-vm bench-sched bench-wal bench-stream bench-http bench-fair bench-mpi smoke-http apilint
+.PHONY: all check build vet fmt test race portalbench-test bench bench-vm bench-sched bench-wal bench-stream bench-http bench-fair bench-mpi smoke-http apilint
 
 all: check
 
 # check is the CI gate: formatting, vet, the API-surface lint, the full
-# suite, the race detector over the concurrency-heavy packages, and a short
-# end-to-end load smoke against an in-process portal.
-check: fmt vet apilint test race smoke-http
+# suite, the race detector over the concurrency-heavy packages, the
+# benchmark module's vet and tests, and a short end-to-end load smoke
+# against an in-process portal.
+check: fmt vet apilint test race portalbench-test smoke-http
 
 # apilint fails on responses that bypass the error envelope (raw http.Error
 # or hand-rolled {"error": ...} literals) in the portal package, on
@@ -32,7 +33,14 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/cluster/... ./internal/scheduler/... ./internal/jobs/... ./internal/mpi/... ./internal/topology/... ./internal/portal/... ./internal/minic/... ./internal/toolchain/... ./internal/dataprovider/... ./internal/auth/... ./internal/metrics/... ./internal/tenancy/...
+	$(GO) test -race ./internal/cluster/... ./internal/scheduler/... ./internal/jobs/... ./internal/mpi/... ./internal/topology/... ./internal/portal/... ./internal/minic/... ./internal/toolchain/... ./internal/dataprovider/... ./internal/auth/... ./internal/metrics/... ./internal/tenancy/... ./internal/trace/... ./internal/core/...
+
+# portalbench-test vets and tests the benchmark's own module. The root
+# build never compiles it, so without this step an API change in the
+# packages it drives would reach the benchmark unnoticed.
+portalbench-test:
+	$(GO) -C portalbench vet ./...
+	$(GO) -C portalbench test ./...
 
 # smoke-http boots an in-process portal and runs the open-loop load
 # generator briefly at low rate; any server or transport error fails it.

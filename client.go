@@ -603,7 +603,8 @@ func (c *Client) FormatFile(path string) error {
 	return c.doJSON("POST", "/api/files/format", map[string]string{"path": path}, nil)
 }
 
-// SchedulerEvent is one entry of the scheduler's activity feed.
+// SchedulerEvent is one entry of the portal's activity feed: a job's lifecycle
+// step (Kind is the state entered) or a placement ("allocated", "released").
 type SchedulerEvent struct {
 	Seq    int64     `json:"seq"`
 	Time   time.Time `json:"time"`

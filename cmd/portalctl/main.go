@@ -19,7 +19,7 @@
 //	trace <job-id>                print the job's lifecycle span tree
 //	cancel <job-id>               cancel a queued or running job
 //	stats                         cluster summary
-//	events                        scheduler activity feed
+//	events                        activity feed (job steps, allocations)
 //	format <remote>               pretty-print a minic source in place
 //	usage [user]                  resource standing (own, or any user's — admin)
 //	limits <user> [key=val...]    show or set limit overrides (admin);

@@ -24,22 +24,22 @@ func TestSplitColon(t *testing.T) {
 }
 
 func TestRunRejectsBadInputs(t *testing.T) {
-	if err := run("/no/such/config.json", "", "pack", "info", "", "", "", "", "", "", false, false); err == nil {
+	if err := run("/no/such/config.json", "", "pack", "info", "", "", "", "", "", false); err == nil {
 		t.Error("missing config accepted")
 	}
-	if err := run("", "", "nonsense-policy", "info", "", "", "", "", "", "", false, false); err == nil {
+	if err := run("", "", "nonsense-policy", "info", "", "", "", "", "", false); err == nil {
 		t.Error("bad policy accepted")
 	}
-	if err := run("", "", "pack", "chatty", "", "", "", "", "", "", false, false); err == nil {
+	if err := run("", "", "pack", "chatty", "", "", "", "", "", false); err == nil {
 		t.Error("bad log level accepted")
 	}
-	if err := run("", "127.0.0.1:0", "pack", "off", "missing-colon", "", "", "", "", "", false, false); err == nil {
+	if err := run("", "127.0.0.1:0", "pack", "off", "missing-colon", "", "", "", "", false); err == nil {
 		t.Error("malformed -admin accepted")
 	}
-	if err := run("", "", "pack", "off", "", "", "", "sometimes", "", "", false, false); err == nil {
+	if err := run("", "", "pack", "off", "", "", "sometimes", "", "", false); err == nil {
 		t.Error("bad fsync policy accepted")
 	}
-	if err := run("", "", "pack", "off", "", "", "", "", "", "fastest", false, false); err == nil {
+	if err := run("", "", "pack", "off", "", "", "", "", "fastest", false); err == nil {
 		t.Error("bad collectives algorithm accepted")
 	}
 }

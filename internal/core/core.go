@@ -36,12 +36,8 @@ type Options struct {
 	Policy string
 	// Backfill enables EASY-style queue backfill.
 	Backfill bool
-	// TreeCollectives selects binomial-tree MPI collectives. Kept for
-	// compatibility; Collectives wins when both are set.
-	TreeCollectives bool
 	// Collectives names the MPI collective algorithm ("linear", "tree",
-	// "hier"). Empty falls back to TreeCollectives, then to the config's
-	// mpi.collectives.
+	// "hier"). Empty falls back to the config's mpi.collectives.
 	Collectives string
 	// Logger receives system events; nil discards them.
 	Logger *logging.Logger
@@ -111,9 +107,6 @@ func NewSystem(cfg config.Config, opts Options) (*System, error) {
 	// the cluster is simulated.
 	authSvc := auth.NewService(cfg.Portal.SessionTTL.Std(), clock.Real{})
 	name := cfg.MPI.Collectives
-	if opts.TreeCollectives {
-		name = "tree"
-	}
 	if opts.Collectives != "" {
 		name = opts.Collectives
 	}
@@ -135,10 +128,11 @@ func NewSystem(cfg config.Config, opts Options) (*System, error) {
 	fs.SetUsageSink(acct.AddDisk)
 	acct.SetQuotaHook(fs.SetQuota)
 	store.SetAdmission(acct.AdmitJob)
-	// One registry spans the scheduler and the portal so the scheduler's
-	// latency histograms surface on /metrics next to the HTTP ones.
+	// One registry spans the store, the scheduler and the portal so the job
+	// and scheduler histograms surface on /metrics next to the HTTP ones.
 	reg := metrics.NewRegistry()
 	tools.SetMetrics(reg)
+	store.SetMetrics(reg)
 	sched := scheduler.New(clus, tools, store, fs, scheduler.Options{
 		Policy:          policy,
 		Backfill:        opts.Backfill,

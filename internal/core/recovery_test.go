@@ -3,12 +3,14 @@ package core
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/auth"
 	"repro/internal/config"
 	"repro/internal/jobs"
+	"repro/internal/trace"
 )
 
 // durableSystem builds an un-started System over a durable provider rooted
@@ -136,6 +138,25 @@ func TestKillAndRecover(t *testing.T) {
 		if err != nil || snap.State != jobs.StateSucceeded {
 			t.Fatalf("%s after restart = %+v, %v", id, snap, err)
 		}
+	}
+
+	// The recovered job's state spans, replayed and live, follow one
+	// another without overlapping.
+	job, _ := b.Jobs.Get(interrupted.ID)
+	var states []string
+	var prev trace.SpanJSON
+	for _, sp := range job.Trace().Snapshot().Children {
+		if _, err := jobs.ParseState(sp.Name); err != nil {
+			continue
+		}
+		if len(states) > 0 && (prev.End.IsZero() || sp.Start.Before(prev.End)) {
+			t.Fatalf("%s span [%v, %v] overlaps %s span [%v, %v]", sp.Name, sp.Start, sp.End, prev.Name, prev.Start, prev.End)
+		}
+		states = append(states, sp.Name)
+		prev = sp
+	}
+	if got := strings.Join(states, ","); got != "queued,compiling,running,queued,compiling,running" {
+		t.Errorf("recovered job's state spans = %s", got)
 	}
 }
 

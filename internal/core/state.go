@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	"repro/internal/auth"
 	"repro/internal/jobs"
@@ -101,37 +100,4 @@ func (s *System) LoadState(r io.Reader) error {
 		return fmt.Errorf("core: loading state: %w", err)
 	}
 	return s.applyState(&st)
-}
-
-// SaveStateFile writes the snapshot atomically (write-then-rename).
-func (s *System) SaveStateFile(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := s.SaveState(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// LoadStateFile restores from a snapshot file; a missing file is not an
-// error (fresh deployment).
-func (s *System) LoadStateFile(path string) error {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return s.LoadState(f)
 }

@@ -2,8 +2,6 @@ package core
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -65,32 +63,6 @@ func TestStateRoundTrip(t *testing.T) {
 	}
 	if _, err := restored.Stat("/src/deep"); err != nil {
 		t.Fatalf("restored dir missing: %v", err)
-	}
-}
-
-func TestStateFileHelpers(t *testing.T) {
-	sys := newSystem(t)
-	sys.Bootstrap("prof", "teachme", auth.RoleAdmin)
-	path := filepath.Join(t.TempDir(), "portal.state")
-	if err := sys.SaveStateFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Fatal("temp file left behind")
-	}
-	other, err := NewSystem(config.Default(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := other.LoadStateFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := other.Auth.User("prof"); err != nil {
-		t.Fatal("account not restored from file")
-	}
-	// Missing file is fine.
-	if err := other.LoadStateFile(filepath.Join(t.TempDir(), "absent.state")); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -28,6 +28,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/dataprovider"
 	"repro/internal/ids"
+	"repro/internal/metrics"
 	"repro/internal/topology"
 	"repro/internal/trace"
 )
@@ -128,8 +129,15 @@ type Job struct {
 	cancel context.CancelCauseFunc
 	tr     *trace.Trace
 
+	// step serializes the job's lifecycle steps, so every sink, the
+	// journal included, records them in one order. It is held across the
+	// journal append, which can block, so it is taken before mu and never
+	// by readers.
+	step sync.Mutex
+
 	mu         sync.Mutex
 	state      State
+	since      time.Time // when the job entered state
 	submitted  time.Time
 	started    time.Time
 	finished   time.Time
@@ -233,6 +241,11 @@ type shard struct {
 // (queue, under queueMu) serves the scheduler's ScanQueued; per-state counts
 // and the admission counter are atomics. The locks are never nested with
 // each other.
+//
+// The store is the one source of lifecycle facts: Submit and every
+// transition write the journal, the activity feed, the job's trace state
+// spans and the job histograms while holding the job's step lock, so all
+// of them see a job's steps in the order its state took them.
 type Store struct {
 	shards [numShards]shard
 	gen    *ids.Sequential
@@ -269,6 +282,41 @@ type Store struct {
 	// journal, when attached, receives a record for every submission and
 	// transition (see journal.go). One atomic load on the hot paths.
 	journal journalField
+
+	feed feed
+	// stint holds, per non-terminal state, the histogram of time spent in
+	// it (SetMetrics); nil entries are not measured.
+	stint [StateRunning + 1]*metrics.Histogram
+}
+
+// SetMetrics registers the job histograms in reg: job_queue_wait_seconds,
+// job_compile_seconds and job_run_seconds, the time a job spends queued,
+// compiling and running. A stint is measured when the job leaves the state
+// to move on or finish (queued→compiling, compiling→running|failed,
+// running→succeeded|failed), never when it is cancelled or requeued. Call
+// it once, before the store takes traffic.
+func (s *Store) SetMetrics(reg *metrics.Registry) {
+	if reg == nil {
+		return
+	}
+	s.stint = [...]*metrics.Histogram{
+		StateQueued:    reg.Histogram("job_queue_wait_seconds", nil),
+		StateCompiling: reg.Histogram("job_compile_seconds", nil),
+		StateRunning:   reg.Histogram("job_run_seconds", nil),
+	}
+}
+
+// measured reports whether leaving cur for next ends a stint the job
+// histograms count: work that moved on or finished. A job failed while
+// still queued never started the work the queue wait leads to.
+func measured(cur, next State) bool {
+	switch next {
+	case StateCancelled, StateQueued:
+		return false
+	case StateFailed:
+		return cur != StateQueued
+	}
+	return true
 }
 
 // SetNotify installs a hook invoked (outside the store locks) after every
@@ -405,8 +453,9 @@ func (s *Store) Submit(spec Spec) (*Job, error) {
 	tr.Root().Annotate("owner", spec.Owner)
 	tr.Root().Annotate("source", spec.SourcePath)
 	tr.Root().Annotate("ranks", strconv.Itoa(spec.Ranks))
-	tr.StartSpan("queued")
+	tr.StartSpan(StateQueued.String())
 	ctx, cancel := newJobContext(tr)
+	now := s.clk.Now()
 	j := &Job{
 		ID:        id,
 		Spec:      spec,
@@ -414,13 +463,18 @@ func (s *Store) Submit(spec Spec) (*Job, error) {
 		cancel:    cancel,
 		tr:        tr,
 		state:     StateQueued,
-		submitted: s.clk.Now(),
+		since:     now,
+		submitted: now,
 		Stdout:    NewStream(s.streamLimit),
 		Stdin:     NewInput(s.stdinLimit),
 	}
 	if spec.Stdin != "" {
 		j.Stdin.Feed([]byte(spec.Stdin))
 	}
+	// Held from before the job is reachable until its submission is
+	// recorded, so no later step can precede it in any sink.
+	j.step.Lock()
+	s.feed.add(FeedEntry{Time: now, Kind: StateQueued.String(), JobID: id})
 	s.counts[StateQueued].Add(1)
 	sh := s.shardFor(j.ID)
 	sh.mu.Lock()
@@ -430,10 +484,11 @@ func (s *Store) Submit(spec Spec) (*Job, error) {
 	s.pos[j.ID] = len(s.order)
 	s.order = append(s.order, j)
 	s.listMu.Unlock()
+	s.emit(dataprovider.KindJobSubmit, SubmitRecord{ID: j.ID, Spec: spec, Submitted: j.submitted})
+	j.step.Unlock()
 	s.queueMu.Lock()
 	s.queue = append(s.queue, j)
 	s.queueMu.Unlock()
-	s.emit(dataprovider.KindJobSubmit, SubmitRecord{ID: j.ID, Spec: spec, Submitted: j.submitted})
 	s.notifyMu.Lock()
 	notify := s.notify
 	s.notifyMu.Unlock()
@@ -450,13 +505,16 @@ func newJobContext(tr *trace.Trace) (context.Context, context.CancelCauseFunc) {
 
 // traceForRestore builds the minimal trace a restored job carries: the
 // original spans died with the previous process, so the tree records only
-// the job's identity and the fact of restoration.
-func traceForRestore(s *Store, pj PersistedJob) *trace.Trace {
+// the job's identity, the fact of restoration and, for a live job, the span
+// of the state it resumes in.
+func traceForRestore(s *Store, pj PersistedJob, st State) *trace.Trace {
 	tr := trace.New("job", s.clk)
 	tr.Root().Annotate("job_id", pj.ID)
 	tr.Root().Annotate("owner", pj.Spec.Owner)
 	tr.Root().Annotate("restored", "true")
-	tr.StartSpan(pj.State)
+	if !st.Terminal() {
+		tr.StartSpan(pj.State)
+	}
 	return tr
 }
 
@@ -478,17 +536,24 @@ func (s *Store) Get(id string) (*Job, error) {
 // job's streams and cancels its context, so in-flight compile/execute work
 // observes the cancellation and unwinds. Moving a compiling or running job
 // back to StateQueued requeues it for dispatch (the crash-recovery path).
+//
+// Each transition is recorded once, in every sink: the journal, the
+// activity feed (the entered state's name, the reason as detail), the
+// trace (the left state's span closes, the entered one's opens; a terminal
+// state finishes the root span instead) and the job histograms.
 func (s *Store) Transition(id string, next State, failure string) error {
 	return s.transition(id, next, failure, s.clk.Now(), true)
 }
 
-// transition is the full implementation; replay calls it with the recorded
-// timestamp and journaling off (the record is already in the log).
-func (s *Store) transition(id string, next State, failure string, now time.Time, journal bool) error {
+// transition is the full implementation. WAL replay calls it with the
+// recorded timestamp and live off: the record is already in the log, and
+// the feed and histograms describe this process's work only.
+func (s *Store) transition(id string, next State, failure string, now time.Time, live bool) error {
 	j, err := s.Get(id)
 	if err != nil {
 		return err
 	}
+	j.step.Lock()
 	j.mu.Lock()
 	cur := j.state
 	allowed := false
@@ -500,6 +565,7 @@ func (s *Store) transition(id string, next State, failure string, now time.Time,
 	}
 	if !allowed {
 		j.mu.Unlock()
+		j.step.Unlock()
 		return fmt.Errorf("%w: %s → %s", ErrBadTransition, cur, next)
 	}
 	j.state = next
@@ -508,10 +574,8 @@ func (s *Store) transition(id string, next State, failure string, now time.Time,
 	switch next {
 	case StateQueued:
 		j.started = time.Time{}
-		j.tr.StartSpan("requeued")
 	case StateRunning:
 		j.started = now
-		j.tr.StartSpan("running")
 	case StateSucceeded, StateFailed, StateCancelled:
 		j.finished = now
 		switch next {
@@ -526,16 +590,31 @@ func (s *Store) transition(id string, next State, failure string, now time.Time,
 		j.Stdout.Close()
 		j.Stdin.Close()
 	}
+	if live {
+		if h := s.stint[cur]; h != nil && measured(cur, next) {
+			h.Observe(now.Sub(j.since).Seconds())
+		}
+		s.feed.add(FeedEntry{Time: now, Kind: next.String(), JobID: id, Detail: failure})
+	}
+	j.since = now
+	j.tr.EndSpan(cur.String())
+	if !next.Terminal() {
+		j.tr.StartSpan(next.String())
+	}
 	j.mu.Unlock()
-	if journal {
+	// The journal append can block on a full commit queue while a snapshot
+	// capture reads every job under its mu, so it runs under step alone.
+	if live {
 		s.emit(dataprovider.KindJobTransition, TransitionRecord{
 			ID: id, State: next.String(), Failure: failure, Time: now,
 		})
 	}
+	j.step.Unlock()
 	if next == StateQueued {
-		// Re-enter the FIFO queued-index (outside j.mu: ScanQueued holds
-		// queueMu while reading job state, so the lock order must stay
-		// queueMu → j.mu everywhere) and wake the dispatcher.
+		// Re-enter the FIFO queued-index (outside j.step and j.mu:
+		// ScanQueued holds queueMu while reading and failing jobs, so the
+		// lock order must stay queueMu → j.step → j.mu everywhere) and wake
+		// the dispatcher.
 		s.queueMu.Lock()
 		s.queue = append(s.queue, j)
 		s.queueMu.Unlock()
@@ -705,25 +784,25 @@ func (s *Store) Counts() map[State]int {
 }
 
 // WaitTerminal blocks until the job reaches a terminal state or the timeout
-// elapses (wall-clock), returning the final snapshot. Poll-based: the job
-// runner owns completion signalling, so a coarse poll keeps the store free
-// of cross-package channels.
+// elapses (wall-clock), returning the final snapshot. It waits on the job's
+// context, which the store cancels at the terminal transition and only
+// there.
 func (s *Store) WaitTerminal(id string, timeout time.Duration) (Snapshot, error) {
 	j, err := s.Get(id)
 	if err != nil {
 		return Snapshot{}, err
 	}
-	deadline := time.Now().Add(timeout)
-	for {
-		snap := j.Snapshot()
-		if snap.State.Terminal() {
-			return snap, nil
-		}
-		if time.Now().After(deadline) {
-			return snap, fmt.Errorf("jobs: %s still %s after %v", id, snap.State, timeout)
-		}
-		time.Sleep(2 * time.Millisecond)
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	select {
+	case <-j.ctx.Done():
+	case <-timer.C:
 	}
+	snap := j.Snapshot()
+	if !snap.State.Terminal() {
+		return snap, fmt.Errorf("jobs: %s still %s after %v", id, snap.State, timeout)
+	}
+	return snap, nil
 }
 
 // OwnersWithJobs lists distinct owners, sorted.

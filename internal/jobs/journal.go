@@ -126,7 +126,7 @@ func (s *Store) restoreOne(pj PersistedJob, journal bool) error {
 	if err != nil {
 		return fmt.Errorf("jobs: restore %s: %w", pj.ID, err)
 	}
-	tr := traceForRestore(s, pj)
+	tr := traceForRestore(s, pj, st)
 	ctx, cancel := newJobContext(tr)
 	j := &Job{
 		ID:        pj.ID,
@@ -135,6 +135,7 @@ func (s *Store) restoreOne(pj PersistedJob, journal bool) error {
 		cancel:    cancel,
 		tr:        tr,
 		state:     st,
+		since:     pj.Submitted,
 		submitted: pj.Submitted,
 		started:   pj.Started,
 		finished:  pj.Finished,
@@ -148,6 +149,8 @@ func (s *Store) restoreOne(pj PersistedJob, journal bool) error {
 		// overflowing pre-supplied input.
 		_ = j.Stdin.Feed([]byte(pj.Spec.Stdin))
 	}
+	// As in Submit: no step of the job can be journaled before its restore.
+	j.step.Lock()
 	if st.Terminal() {
 		j.Stdout.Close()
 		j.Stdin.Close()
@@ -167,13 +170,14 @@ func (s *Store) restoreOne(pj PersistedJob, journal bool) error {
 	s.pos[j.ID] = len(s.order)
 	s.order = append(s.order, j)
 	s.listMu.Unlock()
+	if journal {
+		s.emit(dataprovider.KindJobRestore, pj)
+	}
+	j.step.Unlock()
 	if st == StateQueued {
 		s.queueMu.Lock()
 		s.queue = append(s.queue, j)
 		s.queueMu.Unlock()
-	}
-	if journal {
-		s.emit(dataprovider.KindJobRestore, pj)
 	}
 	return nil
 }

@@ -616,18 +616,22 @@ func init() {
 	}
 }
 
+// printArgs writes the whole line with one Write, so lines printed by
+// concurrent ranks into a shared job stream never interleave.
 func (m *Machine) printArgs(args []Value, nl bool) {
-	m.outMu.Lock()
-	defer m.outMu.Unlock()
+	var sb strings.Builder
 	for i, a := range args {
 		if i > 0 {
-			io.WriteString(m.out, " ")
+			sb.WriteByte(' ')
 		}
-		io.WriteString(m.out, a.String())
+		sb.WriteString(a.String())
 	}
 	if nl {
-		io.WriteString(m.out, "\n")
+		sb.WriteByte('\n')
 	}
+	m.outMu.Lock()
+	defer m.outMu.Unlock()
+	io.WriteString(m.out, sb.String())
 }
 
 func biPrint(m *Machine, args []Value, _ int) (Value, error) {

@@ -20,12 +20,12 @@ func (s *Server) installAdmin(mux *http.ServeMux) {
 	s.route(mux, "POST /api/cluster/nodes/{id}/up", s.withRole(auth.RoleAdmin, s.handleNodeUp))
 	s.route(mux, "POST /api/cluster/nodes/{id}/heartbeat", s.withAuth(s.handleNodeHeartbeat))
 	s.route(mux, "GET /api/cluster/stale", s.withRole(auth.RoleFaculty, s.handleStaleNodes))
-	s.route(mux, "GET /api/cluster/events", s.withAuth(s.handleSchedulerEvents))
+	s.route(mux, "GET /api/cluster/events", s.withAuth(s.handleClusterEvents))
 }
 
-// handleSchedulerEvents streams the scheduler's recent activity feed; the
+// handleClusterEvents serves the job store's recent activity feed; the
 // since parameter lets clients poll incrementally by sequence number.
-func (s *Server) handleSchedulerEvents(w http.ResponseWriter, r *http.Request, _ *auth.Session) {
+func (s *Server) handleClusterEvents(w http.ResponseWriter, r *http.Request, _ *auth.Session) {
 	var since int64
 	if raw := r.URL.Query().Get("since"); raw != "" {
 		n, err := strconv.ParseInt(raw, 10, 64)
@@ -35,7 +35,7 @@ func (s *Server) handleSchedulerEvents(w http.ResponseWriter, r *http.Request, _
 		}
 		since = n
 	}
-	events := s.Sched.Events(since)
+	events := s.Jobs.Feed(since)
 	type eventJSON struct {
 		Seq    int64     `json:"seq"`
 		Time   time.Time `json:"time"`
@@ -51,7 +51,7 @@ func (s *Server) handleSchedulerEvents(w http.ResponseWriter, r *http.Request, _
 			nodes[j] = n.String()
 		}
 		out[i] = eventJSON{
-			Seq: e.Seq, Time: e.Time, Kind: e.Kind.String(),
+			Seq: e.Seq, Time: e.Time, Kind: e.Kind,
 			JobID: e.JobID, Nodes: nodes, Detail: e.Detail,
 		}
 	}
@@ -70,18 +70,12 @@ func (s *Server) withRole(min auth.Role, next func(http.ResponseWriter, *http.Re
 	})
 }
 
-// handleMetrics serves the registry; ?format=text gives the line format,
-// anything else JSON. Deliberately unauthenticated, like most metrics
-// endpoints, and carrying no per-user data.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	reg := s.metricsRegistry()
-	if r.URL.Query().Get("format") == "text" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		reg.WriteText(w)
-		return
-	}
+// handleMetrics serves the registry as JSON; /metrics is the line format.
+// Deliberately unauthenticated, like most metrics endpoints, and carrying
+// no per-user data.
+func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	reg.WriteJSON(w)
+	s.metricsRegistry().WriteJSON(w)
 }
 
 // handlePrometheus serves the Prometheus text exposition format, so a stock

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strings"
 	"testing"
 
 	"repro/internal/auth"
@@ -124,7 +123,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	c.do("PUT", "/api/files/content?path=/m.mc", "func main() { }")
 	submitAndWait(t, c, map[string]interface{}{"source_path": "/m.mc"})
 
-	// JSON form (no auth required).
+	// No auth required.
 	res, err := http.Get(s.srv.URL + "/api/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -158,17 +157,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("dispatched = %v", snap["scheduler_dispatched_total"])
 	}
 
-	// Text form.
-	res2, err := http.Get(s.srv.URL + "/api/metrics?format=text")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res2.Body.Close()
-	buf := make([]byte, 4096)
-	n, _ := res2.Body.Read(buf)
-	if !strings.Contains(string(buf[:n]), "cluster_nodes_total 64") {
-		t.Fatalf("text metrics = %q", buf[:n])
-	}
 }
 
 func TestFormatEndpoint(t *testing.T) {

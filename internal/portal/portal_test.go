@@ -51,9 +51,11 @@ func newStackDispatch(t *testing.T, dispatch bool) *stack {
 	store := jobs.NewStore(64, sim)
 	fs := vfs.New(1<<24, sim)
 	authz := auth.NewService(time.Hour, clock.Real{}) // real clock: sessions live through the test
-	// Share one registry between scheduler and portal, as core.NewSystem does,
-	// so /metrics carries the job histograms next to the HTTP ones.
+	// Share one registry between store, scheduler and portal, as
+	// core.NewSystem does, so /metrics carries the job histograms next to
+	// the HTTP ones.
 	reg := metrics.NewRegistry()
+	store.SetMetrics(reg)
 	sched := scheduler.New(clus, tools, store, fs, scheduler.Options{
 		WallTime:   30 * time.Second,
 		StepBudget: 1 << 40, // cancellation tests spin; the budget must not end them first

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/jobs"
+	"repro/internal/metrics"
 )
 
 // spinPairSrc keeps rank 0 busy forever while rank 1 blocks in recv —
@@ -62,6 +63,9 @@ func TestCancelWhileCompiling(t *testing.T) {
 
 func TestCancelWhileRunningHaltsVM(t *testing.T) {
 	r := newRig(t, Options{WallTime: time.Minute, StepBudget: 1 << 40})
+	reg := metrics.NewRegistry()
+	r.store.SetMetrics(reg)
+	runs := reg.Histogram("job_run_seconds", nil)
 	r.addSource(t, "alice", "/spin.mc", spinPairSrc)
 	j := r.submit(t, "alice", "/spin.mc", "minic", 2)
 	waitFor(t, "job to start running", func() bool {
@@ -86,6 +90,10 @@ func TestCancelWhileRunningHaltsVM(t *testing.T) {
 	}
 	if cause := context.Cause(j.Context()); !errors.Is(cause, jobs.ErrCancelled) {
 		t.Fatalf("context cause = %v", cause)
+	}
+	// A cancelled run is not a run time: the histogram gains no sample.
+	if n := runs.Count(); n != 0 {
+		t.Fatalf("job_run_seconds count = %d after a cancelled run", n)
 	}
 }
 

@@ -68,9 +68,10 @@ type Options struct {
 	// DrainTimeout bounds how long Stop waits for in-flight jobs before
 	// cancelling them; 0 means 5 seconds.
 	DrainTimeout time.Duration
-	// Metrics receives the scheduler's histograms (queue wait, compile and
-	// run time); nil means metrics.Default. Wire the portal's registry here
-	// so the histograms show up on /metrics.
+	// Metrics receives the scheduler's pass-time histogram and queue-depth
+	// gauge; nil means metrics.Default. Wire the portal's registry here so
+	// they show up on /metrics. The job histograms belong to the store
+	// (jobs.Store.SetMetrics).
 	Metrics *metrics.Registry
 	// FairShare replaces the FIFO queue walk with weighted deficit
 	// fair-share across job owners (see fairshare.go). Dispatch order is by
@@ -105,7 +106,6 @@ type Scheduler struct {
 
 	mu       sync.Mutex
 	inFlight map[string]bool
-	events   *eventLog
 
 	// Fair-share lane state (see fairshare.go); guarded by its own mutex so
 	// a pass never contends with the in-flight claim map.
@@ -127,10 +127,7 @@ type Scheduler struct {
 	latSumUS         atomic.Int64
 	cancelledRunning atomic.Int64
 
-	queueWait   *metrics.Histogram
-	compileTime *metrics.Histogram
-	runTime     *metrics.Histogram
-	passTime    *metrics.Histogram
+	passTime *metrics.Histogram
 }
 
 // errWallTime is the cancellation cause attached to a job's run deadline, so
@@ -184,15 +181,11 @@ func New(c *cluster.Cluster, tools *toolchain.Service, store *jobs.Store, fs *vf
 		tenant:     opts.Tenant,
 		inFlight:   make(map[string]bool),
 		lanes:      make(map[string]*ownerLane),
-		events:     newEventLog(256),
 		wake:       make(chan struct{}, 1),
 		stopCh:     make(chan struct{}),
 	}
 	// Registered eagerly so the series exist on /metrics before the first
-	// job flows through.
-	s.queueWait = opts.Metrics.Histogram("job_queue_wait_seconds", nil)
-	s.compileTime = opts.Metrics.Histogram("job_compile_seconds", nil)
-	s.runTime = opts.Metrics.Histogram("job_run_seconds", nil)
+	// pass.
 	s.passTime = opts.Metrics.Histogram("scheduler_pass_seconds", nil)
 	opts.Metrics.RegisterFunc("scheduler_queue_depth", store.QueuedCount)
 	store.SetNotify(s.Wake)
@@ -347,14 +340,11 @@ func (s *Scheduler) tryStart(job *jobs.Job) startOutcome {
 		return blockedJob // lost a race with another allocation
 	}
 	job.SetNodes(nodes)
-	s.record(EventAllocated, job.ID, nodes, s.policy.Name())
-	tr := job.Trace()
-	tr.EndSpan("queued")
-	tr.StartSpan("dispatch", trace.Attr{Key: "policy", Value: s.policy.Name()}).End()
+	s.store.Note(job.ID, "allocated", nodes, s.policy.Name())
+	job.Trace().StartSpan("dispatch", trace.Attr{Key: "policy", Value: s.policy.Name()}).End()
 	if lat := s.clk.Now().Sub(job.Snapshot().Submitted); lat > 0 {
 		s.latLastUS.Store(lat.Microseconds())
 		s.latSumUS.Add(lat.Microseconds())
-		s.queueWait.Observe(lat.Seconds())
 	}
 	s.dispatched.Add(1)
 	s.stopped.Add(1)
@@ -362,7 +352,7 @@ func (s *Scheduler) tryStart(job *jobs.Job) startOutcome {
 		defer s.stopped.Done()
 		defer func() {
 			s.cluster.ReleaseCtx(job.Context(), job.ID)
-			s.record(EventReleased, job.ID, nil, "")
+			s.store.Note(job.ID, "released", nil, "")
 			s.mu.Lock()
 			delete(s.inFlight, job.ID)
 			s.mu.Unlock()
@@ -372,14 +362,13 @@ func (s *Scheduler) tryStart(job *jobs.Job) startOutcome {
 	return startedJob
 }
 
-// failJob transitions a job to failed from whatever pre-running state it is
-// in.
+// failJob transitions a job to failed from whatever non-terminal state it
+// is in.
 func (s *Scheduler) failJob(job *jobs.Job, reason string) {
-	s.record(EventFailed, job.ID, nil, reason)
 	if err := s.store.Transition(job.ID, jobs.StateFailed, reason); err != nil {
-		// Queued jobs fail directly; compiling jobs fail as usual. Other
-		// states mean someone else already moved it.
+		// Someone else (a cancel) already moved it to a terminal state.
 		s.log.Warnf("job %s: could not fail (%v)", job.ID, err)
+		return
 	}
 	s.log.Infof("job %s failed: %s", job.ID, reason)
 }
@@ -392,7 +381,6 @@ func (s *Scheduler) execute(job *jobs.Job) {
 	if err := s.store.Transition(job.ID, jobs.StateCompiling, ""); err != nil {
 		return // cancelled while queued
 	}
-	s.record(EventCompileStarted, job.ID, nil, job.Spec.Language)
 	home, err := s.fs.Home(job.Spec.Owner)
 	if err != nil {
 		s.failJob(job, fmt.Sprintf("no home for %s", job.Spec.Owner))
@@ -411,9 +399,7 @@ func (s *Scheduler) execute(job *jobs.Job) {
 			return
 		}
 	}
-	compileStart := s.clk.Now()
 	res, err := s.tools.Compile(ctx, lang, job.Spec.SourcePath, string(src))
-	s.compileTime.Observe(s.clk.Now().Sub(compileStart).Seconds())
 	if err != nil {
 		if ctx.Err() != nil {
 			return // cancelled while compiling; the store already moved it
@@ -435,14 +421,11 @@ func (s *Scheduler) execute(job *jobs.Job) {
 	if err := s.store.Transition(job.ID, jobs.StateRunning, ""); err != nil {
 		return // cancelled while compiling
 	}
-	s.record(EventRunning, job.ID, nil, "")
 	s.log.Infof("job %s running on %d node(s)", job.ID, job.Spec.Ranks)
 	snap := job.Snapshot()
 	runCtx, cancelRun := context.WithTimeoutCause(ctx, s.wallTime, errWallTime)
 	defer cancelRun()
-	runStart := s.clk.Now()
 	err = s.runArtifact(runCtx, job, res.Artifact.Unit, snap.Nodes)
-	s.runTime.Observe(s.clk.Now().Sub(runStart).Seconds())
 	if err != nil {
 		if ctx.Err() != nil {
 			return // cancelled while running; the store already moved it
@@ -465,7 +448,6 @@ func (s *Scheduler) execute(job *jobs.Job) {
 		s.log.Warnf("job %s: %v", job.ID, err)
 		return
 	}
-	s.record(EventSucceeded, job.ID, nil, "")
 	s.log.Infof("job %s succeeded", job.ID)
 }
 
@@ -489,7 +471,6 @@ func (s *Scheduler) Cancel(id string) error {
 	if st == jobs.StateRunning {
 		s.cancelledRunning.Add(1)
 	}
-	s.record(EventCancelled, id, nil, "")
 	s.log.Infof("job %s cancelled (was %s)", id, st)
 	return nil
 }
@@ -550,7 +531,6 @@ func (s *Scheduler) StopWithin(drain time.Duration) bool {
 	s.mu.Unlock()
 	for _, id := range ids {
 		if err := s.store.Transition(id, jobs.StateCancelled, "scheduler shutting down"); err == nil {
-			s.record(EventCancelled, id, nil, "scheduler shutting down")
 			s.log.Infof("job %s cancelled: scheduler shutting down", id)
 		}
 	}
