@@ -1,14 +1,14 @@
 GO ?= go
 
-.PHONY: all check build vet fmt test race portalbench-test bench bench-vm bench-sched bench-wal bench-stream bench-http bench-fair bench-mpi smoke-http apilint
+.PHONY: all check build vet fmt test race portalbench-test examples-smoke bench bench-vm bench-sched bench-wal bench-stream bench-http bench-fair bench-mpi smoke-http apilint
 
 all: check
 
 # check is the CI gate: formatting, vet, the API-surface lint, the full
 # suite, the race detector over the concurrency-heavy packages, the
-# benchmark module's vet and tests, and a short end-to-end load smoke
-# against an in-process portal.
-check: fmt vet apilint test race portalbench-test smoke-http
+# benchmark module's vet and tests, the interactive example, and a short
+# end-to-end load smoke against an in-process portal.
+check: fmt vet apilint test race portalbench-test examples-smoke smoke-http
 
 # apilint fails on responses that bypass the error envelope (raw http.Error
 # or hand-rolled {"error": ...} literals) in the portal package, on
@@ -41,6 +41,13 @@ race:
 portalbench-test:
 	$(GO) -C portalbench vet ./...
 	$(GO) -C portalbench test ./...
+
+# examples-smoke plays the interactive example's guessing game end to end
+# (about a second): it is the one program that drives Client.Watch and
+# SendInput together, and it exits non-zero through log.Fatal if the game
+# does not finish. The test suite never runs the examples.
+examples-smoke:
+	$(GO) run ./examples/interactive
 
 # smoke-http boots an in-process portal and runs the open-loop load
 # generator briefly at low rate; any server or transport error fails it.

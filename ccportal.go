@@ -14,7 +14,7 @@ import (
 type Config = config.Config
 
 // Options tune a System beyond its Config (clock source, scheduler policy,
-// collective algorithm, logging).
+// logging).
 type Options = core.Options
 
 // System is the assembled portal: cluster, toolchain, job store, user

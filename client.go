@@ -419,29 +419,6 @@ func (c *Client) Trace(id string) (JobTrace, error) {
 	return out, err
 }
 
-// OutputChunk is a slice of a job's merged stdout, as returned by the
-// compatibility long-poll endpoint. Dropped counts bytes between the
-// requested offset and Data that aged out of the server's retention ring
-// before they were read.
-type OutputChunk struct {
-	Data    string `json:"data"`
-	Next    int64  `json:"next"`
-	Done    bool   `json:"done"`
-	Dropped int64  `json:"dropped"`
-	State   string `json:"state"`
-}
-
-// Output reads the job's stdout from the given offset.
-//
-// Deprecated: Output polls the compatibility endpoint; new code should use
-// Watch, which pushes events over one connection and reports drops per
-// event.
-func (c *Client) Output(id string, offset int64) (OutputChunk, error) {
-	var out OutputChunk
-	err := c.do("GET", fmt.Sprintf("/api/jobs/%s/output?offset=%d", id, offset), nil, &out)
-	return out, err
-}
-
 // WatchEvent is one delivery from a job's event stream. Seq is the stream
 // position immediately after Data — the cursor WatchFrom resumes from.
 // Dropped counts bytes that aged out of the server's retention ring before

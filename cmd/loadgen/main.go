@@ -320,6 +320,32 @@ func (r *runner) get(path, token string) (int, error) {
 	return r.do(req, nil)
 }
 
+// watch follows a job's output over SSE from sequence 0 through its done
+// event, as the web page's job monitor does. A stream that ends without a
+// done event is a transport failure.
+func (r *runner) watch(ref jobRef) (int, error) {
+	req, err := http.NewRequest("GET", r.base+"/api/jobs/"+ref.id+"/events?seq=0", nil)
+	if err != nil {
+		return 0, err
+	}
+	req.Header.Set("Authorization", "Bearer "+ref.token)
+	resp, err := r.client.Do(req)
+	if err != nil {
+		return 0, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return 0, fmt.Errorf("watching %s: %w", ref.id, err)
+	}
+	// Output is JSON-escaped inside data lines, so a raw "event: done" line
+	// can only be the terminal frame.
+	if resp.StatusCode < 300 && !bytes.Contains(body, []byte("event: done\n")) {
+		return 0, fmt.Errorf("watching %s: stream ended without a done event", ref.id)
+	}
+	return resp.StatusCode, nil
+}
+
 func (r *runner) postJSON(path, token string, body, out interface{}) (int, error) {
 	j, err := json.Marshal(body)
 	if err != nil {
@@ -449,7 +475,7 @@ func (r *runner) execute(o op, token string, rng *rand.Rand) outcome {
 		}
 	case opWatch:
 		if ref, ok := r.randomJob(rng); ok {
-			status, err = r.get("/api/jobs/"+ref.id+"/output?seq=0", ref.token)
+			status, err = r.watch(ref)
 		} else {
 			status, err = r.get("/api/jobs?limit=1", token)
 		}

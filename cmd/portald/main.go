@@ -60,15 +60,17 @@ func run(configPath, addr, policy, logLevel, admin, dataDir, fsync, pprofAddr, c
 	if fsync != "" {
 		cfg.Persistence.Fsync = fsync
 	}
+	if collective != "" {
+		cfg.MPI.Collectives = collective
+	}
 	logger, err := ccportal.NewLogger(logLevel)
 	if err != nil {
 		return err
 	}
 	sys, err := ccportal.New(cfg, ccportal.Options{
-		Policy:      policy,
-		Backfill:    backfill,
-		Collectives: collective,
-		Logger:      logger,
+		Policy:   policy,
+		Backfill: backfill,
+		Logger:   logger,
 	})
 	if err != nil {
 		return err

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net/http/httptest"
@@ -61,42 +62,44 @@ func main() {
 
 	// Binary search against the program, reading its stream as we go —
 	// the automated version of a student typing into the job monitor.
-	lo, hi := 1, 100
-	var offset int64
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		chunk, err := client.Output(job.ID, offset)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	w, err := client.Watch(ctx, job.ID)
+	must(err)
+	defer w.Close()
+	lo, hi, guess := 1, 100, 0
+	var partial string // an event can end mid-line; keep the tail for the next one
+	for {
+		ev, err := w.Next()
 		must(err)
-		offset = chunk.Next
-		for _, line := range strings.Split(chunk.Data, "\n") {
-			if line != "" {
-				fmt.Println("  program:", line)
+		if ev.Done {
+			log.Fatalf("game ended (%s) before the number was found", ev.State)
+		}
+		partial += ev.Data
+		for {
+			i := strings.IndexByte(partial, '\n')
+			if i < 0 {
+				break
 			}
+			line := partial[:i]
+			partial = partial[i+1:]
+			fmt.Println("  program:", line)
 			switch {
 			case strings.Contains(line, "higher"):
-				lo = lastGuess + 1
+				lo = guess + 1
 			case strings.Contains(line, "lower"):
-				hi = lastGuess - 1
+				hi = guess - 1
 			case strings.Contains(line, "correct"):
 				fmt.Println("solved it!")
 				return
-			}
-			if strings.Contains(line, "your guess?") {
-				guess := (lo + hi) / 2
-				lastGuess = guess
+			case strings.Contains(line, "your guess?"):
+				guess = (lo + hi) / 2
 				fmt.Println("  player :", guess)
 				must(client.SendInput(job.ID, strconv.Itoa(guess)+"\n"))
 			}
 		}
-		if chunk.Done {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
-	log.Fatal("game did not finish in time")
 }
-
-var lastGuess int
 
 func must(err error) {
 	if err != nil {

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"time"
 
 	"repro/internal/auth"
 	"repro/internal/clock"
@@ -36,15 +35,8 @@ type Options struct {
 	Policy string
 	// Backfill enables EASY-style queue backfill.
 	Backfill bool
-	// Collectives names the MPI collective algorithm ("linear", "tree",
-	// "hier"). Empty falls back to the config's mpi.collectives.
-	Collectives string
 	// Logger receives system events; nil discards them.
 	Logger *logging.Logger
-	// DispatchInterval is the scheduler's fallback poll period; 0 means
-	// 5ms. Dispatch itself is event-driven (submission and node release
-	// wake the loop), so this only bounds recovery from a lost wake.
-	DispatchInterval time.Duration
 }
 
 // System is the assembled portal.
@@ -70,7 +62,6 @@ type System struct {
 	Metrics *metrics.Registry
 
 	log     *logging.Logger
-	opts    Options
 	started bool
 }
 
@@ -106,11 +97,7 @@ func NewSystem(cfg config.Config, opts Options) (*System, error) {
 	// Sessions always live on the wall clock: browsers are real even when
 	// the cluster is simulated.
 	authSvc := auth.NewService(cfg.Portal.SessionTTL.Std(), clock.Real{})
-	name := cfg.MPI.Collectives
-	if opts.Collectives != "" {
-		name = opts.Collectives
-	}
-	collective, err := mpi.AlgorithmByName(name)
+	collective, err := mpi.AlgorithmByName(cfg.MPI.Collectives)
 	if err != nil {
 		return nil, err
 	}
@@ -172,7 +159,6 @@ func NewSystem(cfg config.Config, opts Options) (*System, error) {
 		Provider: prov,
 		Metrics:  reg,
 		log:      opts.Logger,
-		opts:     opts,
 	}
 	srv.SetPersistence(persistenceOps{sys})
 	return sys, nil
@@ -184,7 +170,10 @@ func (s *System) Start() {
 		return
 	}
 	s.started = true
-	s.Sched.Start(s.opts.DispatchInterval)
+	// Dispatch is event-driven (submission and node release wake the
+	// loop); 0 keeps the scheduler's 5ms fallback poll, which only bounds
+	// recovery from a lost wake.
+	s.Sched.Start(0)
 	s.log.Infof("system started: %d nodes in %d segments",
 		s.Cluster.Size(), s.Config.Cluster.Segments)
 }

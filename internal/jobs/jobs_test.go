@@ -1,7 +1,6 @@
 package jobs
 
 import (
-	"context"
 	"errors"
 	"io"
 	"strings"
@@ -132,8 +131,7 @@ func TestTerminalClosesStreams(t *testing.T) {
 	s.Transition(j.ID, StateRunning, "")
 	j.Stdout.Write([]byte("output"))
 	s.Transition(j.ID, StateSucceeded, "")
-	_, _, done := j.Stdout.ReadAt(0)
-	if !done {
+	if _, _, _, done := j.Stdout.ReadFrom(0, 0); !done {
 		t.Fatal("stdout not closed at terminal state")
 	}
 	buf := make([]byte, 4)
@@ -259,23 +257,27 @@ func jobIDs(snaps []Snapshot) []string {
 func TestStreamReadAt(t *testing.T) {
 	s := NewStream(0)
 	s.Write([]byte("hello "))
-	data, next, done := s.ReadAt(0)
-	if string(data) != "hello " || next != 6 || done {
-		t.Fatalf("ReadAt(0) = %q, %d, %v", data, next, done)
+	data, next, dropped, done := s.ReadFrom(0, 0)
+	if string(data) != "hello " || next != 6 || dropped != 0 || done {
+		t.Fatalf("ReadFrom(0) = %q, %d, %d, %v", data, next, dropped, done)
 	}
 	s.Write([]byte("world"))
-	data, next, _ = s.ReadAt(next)
+	data, next, _, _ = s.ReadFrom(next, 0)
 	if string(data) != "world" || next != 11 {
 		t.Fatalf("incremental read = %q, %d", data, next)
 	}
-	// Reading past the end returns empty.
-	data, _, _ = s.ReadAt(999)
-	if len(data) != 0 {
-		t.Fatalf("read past end = %q", data)
+	// A bounded read stops at max and resumes where it stopped.
+	data, next, _, _ = s.ReadFrom(0, 4)
+	if string(data) != "hell" || next != 4 {
+		t.Fatalf("ReadFrom(0, 4) = %q, %d", data, next)
+	}
+	// Reading past the end returns empty, clamped to the end.
+	data, next, _, _ = s.ReadFrom(999, 0)
+	if len(data) != 0 || next != 11 {
+		t.Fatalf("read past end = %q, %d", data, next)
 	}
 	s.Close()
-	_, _, done = s.ReadAt(next)
-	if !done {
+	if _, _, _, done = s.ReadFrom(next, 0); !done {
 		t.Fatal("done not reported after Close")
 	}
 }
@@ -287,10 +289,11 @@ func TestStreamLimitDropsOldest(t *testing.T) {
 	if s.String() != "56789ABCDE" {
 		t.Fatalf("retained = %q", s.String())
 	}
-	// A reader at offset 0 resumes from the oldest retained byte.
-	data, next, _ := s.ReadAt(0)
-	if string(data) != "56789ABCDE" || next != 15 {
-		t.Fatalf("ReadAt(0) after drop = %q, %d", data, next)
+	// A reader at offset 0 resumes from the oldest retained byte and is
+	// told how many bytes it missed.
+	data, next, dropped, _ := s.ReadFrom(0, 0)
+	if string(data) != "56789ABCDE" || next != 15 || dropped != 5 {
+		t.Fatalf("ReadFrom(0) after drop = %q, %d, %d", data, next, dropped)
 	}
 	if s.Len() != 15 {
 		t.Fatalf("Len = %d, want 15", s.Len())
@@ -322,31 +325,6 @@ func TestStreamConcurrentWriters(t *testing.T) {
 	if s.Len() != 8*100*10 {
 		t.Fatalf("Len = %d", s.Len())
 	}
-}
-
-func TestStreamWaitChange(t *testing.T) {
-	s := NewStream(0)
-	ctx := context.Background()
-	done := make(chan struct{})
-	go func() {
-		s.WaitChange(ctx, 0)
-		close(done)
-	}()
-	select {
-	case <-done:
-		t.Fatal("WaitChange returned before data")
-	case <-time.After(10 * time.Millisecond):
-	}
-	s.Write([]byte("x"))
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("WaitChange missed the write")
-	}
-	// Returns immediately when already past the offset or closed.
-	s.WaitChange(ctx, 0)
-	s.Close()
-	s.WaitChange(ctx, 99)
 }
 
 func TestInputFeedAndEOF(t *testing.T) {

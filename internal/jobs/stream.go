@@ -75,9 +75,6 @@ func (s *Stream) slotFor(pos int64) []byte {
 	return s.chunks[i]
 }
 
-// droppedLocked reports how many leading bytes have been discarded.
-func (s *Stream) droppedLocked() int64 { return s.start }
-
 // Write appends p; it never fails and never blocks on watchers. Writes after
 // Close are discarded.
 func (s *Stream) Write(p []byte) (int, error) {
@@ -183,44 +180,11 @@ func (s *Stream) ReadFrom(from int64, max int) (data []byte, next int64, dropped
 	return s.copyRange(from, to), to, dropped, s.closed
 }
 
-// ReadAt is the compatibility form of ReadFrom used by the long-poll
-// endpoint: all available bytes, no explicit drop count, next always the
-// stream head.
-//
-// Deprecated: new code should use ReadFrom (drop-aware reads) or Watch
-// (push delivery).
-func (s *Stream) ReadAt(offset int64) (data []byte, next int64, done bool) {
-	data, next, _, done = s.ReadFrom(offset, 0)
-	return data, next, done
-}
-
 // String returns the retained contents.
 func (s *Stream) String() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return string(s.copyRange(s.start, s.total))
-}
-
-// WaitChange blocks until the stream grows past pos, closes, or ctx is
-// cancelled; used by long-poll handlers. It returns immediately if growth or
-// closure already holds, and returns promptly on client disconnect so the
-// handler goroutine is released.
-func (s *Stream) WaitChange(ctx context.Context, pos int64) {
-	w := s.Watch(pos)
-	defer w.Close()
-	for {
-		s.mu.Lock()
-		ready := s.closed || s.total > pos
-		s.mu.Unlock()
-		if ready {
-			return
-		}
-		select {
-		case <-ctx.Done():
-			return
-		case <-w.notify:
-		}
-	}
 }
 
 // StreamStats is a point-in-time summary of one stream.

@@ -192,33 +192,6 @@ func TestStreamStatsWatchers(t *testing.T) {
 	}
 }
 
-// TestStreamWaitChangeContextCancel covers the long-poll leak fix: a waiter
-// whose request context dies must return promptly instead of parking until
-// the job's next write.
-func TestStreamWaitChangeContextCancel(t *testing.T) {
-	s := NewStream(0)
-	ctx, cancel := context.WithCancel(context.Background())
-	returned := make(chan struct{})
-	go func() {
-		s.WaitChange(ctx, 0)
-		close(returned)
-	}()
-	select {
-	case <-returned:
-		t.Fatal("WaitChange returned with no growth, no close, and a live context")
-	case <-time.After(50 * time.Millisecond):
-	}
-	cancel()
-	select {
-	case <-returned:
-	case <-time.After(5 * time.Second):
-		t.Fatal("WaitChange ignored context cancellation")
-	}
-	if st := s.Stats(); st.Watchers != 0 {
-		t.Fatalf("watcher leaked after cancelled wait: %d attached", st.Watchers)
-	}
-}
-
 // TestStreamTailAttach: a negative position subscribes to new data only.
 func TestStreamTailAttach(t *testing.T) {
 	s := NewStream(0)

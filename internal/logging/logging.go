@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"sync"
 	"time"
 )
@@ -170,32 +169,6 @@ func (l *Logger) log(lv Level, format string, args ...interface{}) {
 	}
 	l.lines++
 }
-
-// logw renders a structured line: the message followed by key=value pairs
-// in argument order. Values are formatted with %v; strings containing
-// spaces are quoted so lines stay machine-splittable.
-func (l *Logger) logw(lv Level, msg string, kv ...interface{}) {
-	var b strings.Builder
-	b.WriteString(msg)
-	for i := 0; i+1 < len(kv); i += 2 {
-		val := fmt.Sprintf("%v", kv[i+1])
-		if strings.ContainsAny(val, " \t\"") {
-			val = fmt.Sprintf("%q", val)
-		}
-		fmt.Fprintf(&b, " %v=%s", kv[i], val)
-	}
-	if len(kv)%2 != 0 {
-		fmt.Fprintf(&b, " %v=?", kv[len(kv)-1])
-	}
-	l.log(lv, "%s", b.String())
-}
-
-// Infow logs a structured line at Info level: a message plus alternating
-// key/value pairs, e.g. Infow("http", "method", "GET", "status", 200).
-func (l *Logger) Infow(msg string, kv ...interface{}) { l.logw(Info, msg, kv...) }
-
-// Warnw logs a structured line at Warn level.
-func (l *Logger) Warnw(msg string, kv ...interface{}) { l.logw(Warn, msg, kv...) }
 
 // Debugf logs at Debug level.
 func (l *Logger) Debugf(format string, args ...interface{}) { l.log(Debug, format, args...) }

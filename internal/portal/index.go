@@ -6,9 +6,10 @@ import (
 )
 
 // indexTemplate is the minimal HTML front page: login form, file browser,
-// submit form and a job monitor that polls the output endpoint — the
-// "intuitive navigation" shell over the JSON API. It is deliberately plain
-// HTML + vanilla JS so the portal works from any browser in a classroom.
+// submit form and a job monitor that follows the job's output over the SSE
+// watch API (an EventSource on /api/jobs/{id}/events) — the "intuitive
+// navigation" shell over the JSON API. It is deliberately plain HTML +
+// vanilla JS so the portal works from any browser in a classroom.
 var indexTemplate = template.Must(template.New("index").Parse(`<!DOCTYPE html>
 <html>
 <head>
@@ -84,20 +85,22 @@ async function upload() {
               {method: 'PUT', body: editor.value});
   listFiles();
 }
-let currentJob = null, offset = 0;
+let currentJob = null, events = null;
 async function submitJob() {
   const r = await api('POST', '/api/jobs', {source_path: src.value, ranks: parseInt(ranks.value)});
   if (r.error) { output.textContent = r.error; return; }
-  currentJob = r.id; offset = 0; output.textContent = '';
+  currentJob = r.id; output.textContent = '';
   jobid.textContent = r.id;
-  poll();
+  watch();
 }
-async function poll() {
-  if (!currentJob) return;
-  const r = await api('GET', '/api/jobs/' + currentJob + '/output?offset=' + offset);
-  output.textContent += r.data; offset = r.next;
-  if (!r.done) setTimeout(poll, 500);
-  else output.textContent += '\n[' + r.state + ']';
+function watch() {
+  if (events) events.close();
+  events = new EventSource('/api/jobs/' + currentJob + '/events');
+  events.addEventListener('output', e => { output.textContent += JSON.parse(e.data).data; });
+  events.addEventListener('done', e => {
+    output.textContent += '\n[' + JSON.parse(e.data).state + ']';
+    events.close(); // the job is over; do not let the browser reconnect
+  });
 }
 async function feed() {
   if (!currentJob) return;

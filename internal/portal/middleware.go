@@ -197,8 +197,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	statusWriters.Put(sw)
 }
 
-// appendLogValue appends v, quoting it when it contains characters that
-// would break the key=value line format — the same rule Logger.Infow uses.
+// appendLogValue appends v, quoting it when it contains a space, tab or
+// double quote, any of which would break the key=value line format.
 func appendLogValue(b []byte, v string) []byte {
 	for i := 0; i < len(v); i++ {
 		if c := v[i]; c == ' ' || c == '\t' || c == '"' {

@@ -32,13 +32,19 @@ func (s *Server) SetPersistence(p Persistence) { s.persist = p }
 // the one the current request just emitted — is flushed under the
 // configured fsync policy. Concurrent requests share one group-committed
 // flush, and with no persistence attached it costs one nil check.
-func (s *Server) syncPersistence() {
+//
+// A failed flush returns a 503 internal error, which the handler writes in
+// place of its success response: the portal never acknowledges a write it
+// cannot keep.
+func (s *Server) syncPersistence() *apiErr {
 	if s.persist == nil {
-		return
+		return nil
 	}
 	if err := s.persist.Sync(); err != nil {
 		s.Log.Errorf("persistence sync failed: %v", err)
+		return errf(http.StatusServiceUnavailable, CodeInternal, "persistence sync failed")
 	}
+	return nil
 }
 
 // installPersistence registers the admin persistence endpoints.
@@ -84,7 +90,10 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request, sess *aut
 		writeError(w, r, fromDomain(err))
 		return
 	}
-	s.syncPersistence()
+	if e := s.syncPersistence(); e != nil {
+		writeError(w, r, e)
+		return
+	}
 	s.Log.Infof("state restored by %s", sess.User)
 	s.writeJSON(w, http.StatusOK, statusResponse{Status: "restored"})
 }

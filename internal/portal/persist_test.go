@@ -2,6 +2,7 @@ package portal
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -17,6 +18,7 @@ import (
 type fakePersist struct {
 	data       []byte
 	restoreErr error
+	syncErr    error // what Sync returns
 	syncs      atomic.Int64
 }
 
@@ -43,7 +45,7 @@ func (p *fakePersist) Status() dataprovider.Status {
 
 func (p *fakePersist) Sync() error {
 	p.syncs.Add(1)
-	return nil
+	return p.syncErr
 }
 
 func TestPersistenceEndpointsRequireAdmin(t *testing.T) {
@@ -178,5 +180,35 @@ func TestMutationsCrossSyncBarrier(t *testing.T) {
 	}
 	if fake.syncs.Load() <= before {
 		t.Fatal("mkdir acknowledged without a durability sync")
+	}
+}
+
+// TestFailedSyncIsNotAcknowledged: when the durability barrier fails, a
+// mutating request answers a 503 internal envelope instead of its 2xx, so
+// the portal never acknowledges a write it cannot keep.
+func TestFailedSyncIsNotAcknowledged(t *testing.T) {
+	s := newStack(t)
+	fake := &fakePersist{}
+	s.server.SetPersistence(fake)
+	c := s.register(t, "student1", "password1")
+	fake.syncErr = errors.New("fsync: input/output error")
+	for _, req := range []struct {
+		method, path string
+		body         interface{}
+	}{
+		{"PUT", "/api/files/content?path=/h.mc", "func main() { }"},
+		{"POST", "/api/jobs", map[string]string{"source_path": "/h.mc"}},
+	} {
+		st, body := c.do(req.method, req.path, req.body)
+		var env struct {
+			Error struct {
+				Code    string `json:"code"`
+				Message string `json:"message"`
+			} `json:"error"`
+		}
+		if err := json.Unmarshal(body, &env); err != nil || st != http.StatusServiceUnavailable ||
+			env.Error.Code != CodeInternal || env.Error.Message != "persistence sync failed" {
+			t.Errorf("%s %s with a failing sync = %d %s, want a 503 internal envelope", req.method, req.path, st, body)
+		}
 	}
 }

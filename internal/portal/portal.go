@@ -103,7 +103,6 @@ func NewServer(a *auth.Service, fs *vfs.FS, tools *toolchain.Service, store *job
 	s.route(mux, "POST /api/jobs", s.withAuth(s.handleSubmit))
 	s.route(mux, "GET /api/jobs", s.withAuth(s.handleJobList))
 	s.route(mux, "GET /api/jobs/{id}", s.withAuth(s.handleJobGet))
-	s.route(mux, "GET /api/jobs/{id}/output", s.withAuth(s.handleJobOutput))
 	s.route(mux, "GET /api/jobs/{id}/events", s.withAuth(s.handleJobEvents))
 	s.route(mux, "GET /api/jobs/{id}/trace", s.withAuth(s.handleJobTrace))
 	s.route(mux, "POST /api/jobs/{id}/input", s.withAuth(s.handleJobInput))
@@ -210,7 +209,10 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.FS.EnsureHome(u.Name)
-	s.syncPersistence()
+	if e := s.syncPersistence(); e != nil {
+		writeError(w, r, e)
+		return
+	}
 	s.Log.Infof("registered user %s", u.Name)
 	s.writeJSON(w, http.StatusCreated, whoamiResponse{User: u.Name, Role: u.Role.String()})
 }
@@ -355,7 +357,10 @@ func (s *Server) handleFileUpload(w http.ResponseWriter, r *http.Request, sess *
 		writeError(w, r, fromDomain(err))
 		return
 	}
-	s.syncPersistence()
+	if e := s.syncPersistence(); e != nil {
+		writeError(w, r, e)
+		return
+	}
 	s.metricsRegistry().Counter("files_uploaded_total").Inc()
 	if s.Log.Enabled(logging.Info) {
 		s.Log.Infof("user %s uploaded %s (%d bytes)", sess.User, path, n)
@@ -375,7 +380,10 @@ func (s *Server) handleMkdir(w http.ResponseWriter, r *http.Request, sess *auth.
 		writeError(w, r, fromDomain(err))
 		return
 	}
-	s.syncPersistence()
+	if e := s.syncPersistence(); e != nil {
+		writeError(w, r, e)
+		return
+	}
 	s.writeJSON(w, http.StatusCreated, pathResponse{Path: req.Path})
 }
 
@@ -392,7 +400,10 @@ func (s *Server) handleRename(w http.ResponseWriter, r *http.Request, sess *auth
 		writeError(w, r, fromDomain(err))
 		return
 	}
-	s.syncPersistence()
+	if e := s.syncPersistence(); e != nil {
+		writeError(w, r, e)
+		return
+	}
 	s.writeJSON(w, http.StatusOK, srcDstResponse{Src: req.Src, Dst: req.Dst})
 }
 
@@ -409,7 +420,10 @@ func (s *Server) handleCopy(w http.ResponseWriter, r *http.Request, sess *auth.S
 		writeError(w, r, fromDomain(err))
 		return
 	}
-	s.syncPersistence()
+	if e := s.syncPersistence(); e != nil {
+		writeError(w, r, e)
+		return
+	}
 	s.writeJSON(w, http.StatusOK, srcDstResponse{Src: req.Src, Dst: req.Dst})
 }
 
@@ -426,7 +440,10 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request, sess *auth
 		writeError(w, r, fromDomain(err))
 		return
 	}
-	s.syncPersistence()
+	if e := s.syncPersistence(); e != nil {
+		writeError(w, r, e)
+		return
+	}
 	s.writeJSON(w, http.StatusOK, pathResponse{Path: req.Path})
 }
 
@@ -455,7 +472,10 @@ func (s *Server) handleFormat(w http.ResponseWriter, r *http.Request, sess *auth
 		writeError(w, r, fromDomain(err))
 		return
 	}
-	s.syncPersistence()
+	if e := s.syncPersistence(); e != nil {
+		writeError(w, r, e)
+		return
+	}
 	s.writeJSON(w, http.StatusOK, uploadResponse{Path: req.Path, Bytes: int64(len(formatted))})
 }
 
@@ -595,7 +615,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, sess *auth
 	if rid := requestIDOf(w, r); rid != "" {
 		job.Trace().Root().Annotate("request_id", rid)
 	}
-	s.syncPersistence()
+	if e := s.syncPersistence(); e != nil {
+		writeError(w, r, e)
+		return
+	}
 	s.metricsRegistry().Counter("jobs_submitted_total").Inc()
 	if s.Log.Enabled(logging.Info) {
 		s.Log.Infof("user %s submitted %s as %s (%d ranks)", sess.User, req.SourcePath, job.ID, req.Ranks)
@@ -707,37 +730,6 @@ type traceResponse struct {
 	Trace interface{} `json:"trace"`
 }
 
-func (s *Server) handleJobOutput(w http.ResponseWriter, r *http.Request, sess *auth.Session) {
-	job, e := s.jobForRequest(r, sess)
-	if e != nil {
-		writeError(w, r, e)
-		return
-	}
-	offset, _ := strconv.ParseInt(queryParam(r, "offset"), 10, 64)
-	if queryParam(r, "wait") == "1" {
-		// The wait is bound to the request context: a client that
-		// disconnects mid-poll releases the handler goroutine immediately
-		// instead of parking it until the job's next write.
-		job.Stdout.WaitChange(r.Context(), offset)
-	}
-	data, next, dropped, done := job.Stdout.ReadFrom(offset, 0)
-	// Hand-encoded: polling watchers hit this endpoint in a tight loop, and
-	// appendJSONBytes spares the []byte→string copy of the output slice.
-	rb := getBuf()
-	b := append(rb.b[:0], `{"data":`...)
-	b = appendJSONBytes(b, data)
-	b = append(b, `,"next":`...)
-	b = strconv.AppendInt(b, next, 10)
-	b = append(b, `,"done":`...)
-	b = strconv.AppendBool(b, done)
-	b = append(b, `,"dropped":`...)
-	b = strconv.AppendInt(b, dropped, 10)
-	b = append(b, `,"state":`...)
-	b = appendJSONString(b, job.State().String())
-	rb.b = append(b, '}', '\n')
-	writeRaw(w, http.StatusOK, rb)
-}
-
 func (s *Server) handleJobInput(w http.ResponseWriter, r *http.Request, sess *auth.Session) {
 	job, e := s.jobForRequest(r, sess)
 	if e != nil {
@@ -777,7 +769,10 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request, sess *a
 		writeError(w, r, errf(http.StatusConflict, CodeJobTerminal, err.Error()))
 		return
 	}
-	s.syncPersistence()
+	if e := s.syncPersistence(); e != nil {
+		writeError(w, r, e)
+		return
+	}
 	s.writeJSON(w, http.StatusOK, cancelResponse{ID: job.ID, State: "cancelled"})
 }
 

@@ -3,7 +3,6 @@ package portal
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -157,6 +156,12 @@ func TestIndexPage(t *testing.T) {
 	body, _ := io.ReadAll(res.Body)
 	if res.StatusCode != http.StatusOK || !strings.Contains(string(body), "Cluster Computing Portal") {
 		t.Fatalf("index: %d %q", res.StatusCode, body[:min(80, len(body))])
+	}
+	// The job monitor follows output over the SSE watch API, the one
+	// output contract; it never polls.
+	if page := string(body); !strings.Contains(page, "new EventSource('/api/jobs/' + currentJob + '/events')") ||
+		strings.Contains(page, "/output") {
+		t.Fatal("index page does not watch job output through EventSource on /events")
 	}
 	// Unknown paths 404.
 	res2, _ := http.Get(s.srv.URL + "/nope")
@@ -372,13 +377,9 @@ func TestEndToEndJob(t *testing.T) {
 	if state != "succeeded" {
 		t.Fatalf("job state = %s", state)
 	}
-	var out struct {
-		Data string `json:"data"`
-		Done bool   `json:"done"`
-	}
-	c.getJSON("/api/jobs/"+id+"/output?offset=0", &out)
-	if out.Data != "via portal\n" || !out.Done {
-		t.Fatalf("output = %+v", out)
+	_, r := openEvents(t, s, c, id, "", nil)
+	if out, final := r.drain(); out != "via portal\n" || final != "succeeded" {
+		t.Fatalf("output = %q, done state = %s", out, final)
 	}
 }
 
@@ -394,10 +395,9 @@ func main() {
 	if state != "succeeded" {
 		t.Fatalf("job state = %s", state)
 	}
-	var out struct{ Data string }
-	c.getJSON("/api/jobs/"+id+"/output?offset=0", &out)
-	if !strings.Contains(out.Data, "ranks: 6") {
-		t.Fatalf("output = %q", out.Data)
+	_, r := openEvents(t, s, c, id, "", nil)
+	if out, _ := r.drain(); !strings.Contains(out, "ranks: 6") {
+		t.Fatalf("output = %q", out)
 	}
 }
 
@@ -418,30 +418,14 @@ func main() {
 		ID string `json:"id"`
 	}
 	json.Unmarshal(resp, &job)
-	// Wait until the program prints "ready" (it is blocked on stdin).
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		var out struct{ Data string }
-		c.getJSON("/api/jobs/"+job.ID+"/output?offset=0", &out)
-		if strings.Contains(out.Data, "ready") {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("program never became ready")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	// Watch until the program prints "ready" (it is then blocked on stdin).
+	_, r := openEvents(t, s, c, job.ID, "", nil)
+	r.readUntil("ready")
 	if st, _ := c.do("POST", "/api/jobs/"+job.ID+"/input", map[string]string{"data": "hi there\n"}); st != http.StatusOK {
 		t.Fatalf("input feed = %d", st)
 	}
-	snap, err := s.store.WaitTerminal(job.ID, 10*time.Second)
-	if err != nil || snap.State != jobs.StateSucceeded {
-		t.Fatalf("final = %+v, %v", snap, err)
-	}
-	var out struct{ Data string }
-	c.getJSON("/api/jobs/"+job.ID+"/output?offset=0", &out)
-	if !strings.Contains(out.Data, "echo: hi there") {
-		t.Fatalf("output = %q", out.Data)
+	if out, final := r.drain(); !strings.Contains(out, "echo: hi there") || final != "succeeded" {
+		t.Fatalf("output = %q, done state = %s", out, final)
 	}
 	// Feeding a finished job conflicts.
 	if st, _ := c.do("POST", "/api/jobs/"+job.ID+"/input", map[string]string{"data": "x"}); st != http.StatusConflict {
@@ -458,8 +442,12 @@ func TestJobOwnershipEnforced(t *testing.T) {
 	if st := eve.getJSON("/api/jobs/"+id, nil); st != http.StatusForbidden {
 		t.Fatalf("cross-user job get = %d", st)
 	}
-	if st := eve.getJSON("/api/jobs/"+id+"/output", nil); st != http.StatusForbidden {
-		t.Fatalf("cross-user output = %d", st)
+	if st := eve.getJSON("/api/jobs/"+id+"/events", nil); st != http.StatusForbidden {
+		t.Fatalf("cross-user events = %d", st)
+	}
+	// Output is served only as the /events stream; the long-poll is gone.
+	if st := alice.getJSON("/api/jobs/"+id+"/output", nil); st != http.StatusNotFound {
+		t.Fatalf("long-poll output = %d, want 404", st)
 	}
 	// Unknown job is 404.
 	if st := alice.getJSON("/api/jobs/job-999999", nil); st != http.StatusNotFound {
@@ -555,24 +543,15 @@ func main() {
 		ID string `json:"id"`
 	}
 	json.Unmarshal(resp, &job)
-	// Wait until the program is demonstrably executing.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		var out struct {
-			Data  string `json:"data"`
-			State string `json:"state"`
-		}
-		c.getJSON("/api/jobs/"+job.ID+"/output?offset=0", &out)
-		if out.State == "running" && strings.Contains(out.Data, "spinning") {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job never started spinning (state %s, output %q)", out.State, out.Data)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	// Wait until the program is demonstrably executing: rank 0 prints only
+	// once the job runs.
+	_, r := openEvents(t, s, c, job.ID, "", nil)
+	r.readUntil("spinning")
 	if st, _ := c.do("POST", "/api/jobs/"+job.ID+"/cancel", nil); st != http.StatusOK {
 		t.Fatalf("cancel = %d", st)
+	}
+	if _, final := r.drain(); final != "cancelled" {
+		t.Fatalf("done state = %s", final)
 	}
 	snap, err := s.store.WaitTerminal(job.ID, 10*time.Second)
 	if err != nil {
@@ -582,7 +561,7 @@ func main() {
 		t.Fatalf("snap = %+v", snap)
 	}
 	// Both VM ranks must actually halt and release their nodes.
-	deadline = time.Now().Add(10 * time.Second)
+	deadline := time.Now().Add(10 * time.Second)
 	for s.clus.FreeCount() != s.clus.Size() {
 		if time.Now().After(deadline) {
 			t.Fatalf("nodes not released: %d/%d free", s.clus.FreeCount(), s.clus.Size())
@@ -682,53 +661,4 @@ func min(a, b int) int {
 		return a
 	}
 	return b
-}
-
-func TestLongPollOutput(t *testing.T) {
-	s := newStack(t)
-	c := s.register(t, "alice", "secret1")
-	c.do("PUT", "/api/files/content?path=/slow.mc", `
-func main() {
-	var line = readline();
-	println("after input: " + line);
-}`)
-	status, resp := c.do("POST", "/api/jobs", map[string]interface{}{"source_path": "/slow.mc"})
-	if status != http.StatusAccepted {
-		t.Fatal("submit failed")
-	}
-	var job struct {
-		ID string `json:"id"`
-	}
-	json.Unmarshal(resp, &job)
-
-	type pollResult struct {
-		Data string `json:"data"`
-		Done bool   `json:"done"`
-	}
-	resCh := make(chan pollResult, 1)
-	go func() {
-		var pr pollResult
-		c.getJSON(fmt.Sprintf("/api/jobs/%s/output?offset=0&wait=1", job.ID), &pr)
-		resCh <- pr
-	}()
-	// The long poll must be pending until input unblocks the program.
-	select {
-	case pr := <-resCh:
-		// Possible if job already scheduled + waiting; data must be empty.
-		if pr.Data != "" {
-			t.Fatalf("unexpected early data %q", pr.Data)
-		}
-	case <-time.After(50 * time.Millisecond):
-	}
-	c.do("POST", "/api/jobs/"+job.ID+"/input", map[string]string{"data": "x\n"})
-	select {
-	case pr := <-resCh:
-		_ = pr // either path is fine; full output checked below
-	case <-time.After(10 * time.Second):
-		t.Fatal("long poll never returned")
-	}
-	snap, err := s.store.WaitTerminal(job.ID, 10*time.Second)
-	if err != nil || snap.State != jobs.StateSucceeded {
-		t.Fatalf("job = %+v, %v", snap, err)
-	}
 }

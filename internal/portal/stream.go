@@ -84,8 +84,8 @@ func writeSSE(w io.Writer, event string, id int64, payload interface{}) error {
 	return err
 }
 
-// handleJobEvents is the push half of the watch API: an SSE stream of the
-// job's output at GET /api/jobs/{id}/events. A fresh connection starts at
+// handleJobEvents is the watch API, the one way to read a job's output: an
+// SSE stream of it at GET /api/jobs/{id}/events. A fresh connection starts at
 // sequence 0 (the oldest retained byte); a reconnecting client resumes from
 // its Last-Event-ID (or an explicit ?seq=N, which wins); seq=-1 attaches at
 // the live tail. Writes from the job's ranks are coalesced for ~10ms and

@@ -84,6 +84,34 @@ func openEvents(t *testing.T, s *stack, c *client, jobID, extra string, hdr map[
 	return res, &sseReader{t: t, br: bufio.NewReader(res.Body)}
 }
 
+// readUntil consumes output events until the accumulated data contains
+// want, failing if the job finishes first.
+func (r *sseReader) readUntil(want string) {
+	r.t.Helper()
+	var out strings.Builder
+	for !strings.Contains(out.String(), want) {
+		ev := r.next()
+		if ev.name == "done" {
+			r.t.Fatalf("job finished (%s) before printing %q; output %q", ev.Stat, want, out.String())
+		}
+		out.WriteString(ev.Data)
+	}
+}
+
+// drain consumes events through the done event and returns the output read
+// and the job's final state.
+func (r *sseReader) drain() (output, state string) {
+	r.t.Helper()
+	var out strings.Builder
+	for {
+		ev := r.next()
+		if ev.name == "done" {
+			return out.String(), ev.Stat
+		}
+		out.WriteString(ev.Data)
+	}
+}
+
 func submitIdleJob(t *testing.T, s *stack, owner string) *jobs.Job {
 	t.Helper()
 	job, err := s.store.Submit(jobs.Spec{Owner: owner, SourcePath: "/p.mc", Language: "minic", Ranks: 1})
@@ -201,34 +229,34 @@ func TestJobEventsAuthz(t *testing.T) {
 	}
 }
 
-// TestJobOutputLongPollDisconnectReleasesWatcher covers the leak fix on the
-// compatibility endpoint: a long-poller that goes away mid-wait must release
-// its server-side watcher without waiting for the job's next write.
-func TestJobOutputLongPollDisconnectReleasesWatcher(t *testing.T) {
+// TestJobEventsDisconnectReleasesWatcher: a subscriber that goes away while
+// the job is idle must release its server-side watcher without waiting for
+// the job's next write.
+func TestJobEventsDisconnectReleasesWatcher(t *testing.T) {
 	s := newStackDispatch(t, false)
 	alice := s.register(t, "alice", "password1")
 	job := submitIdleJob(t, s, "alice")
 
 	ctx, cancel := context.WithCancel(context.Background())
-	req, err := http.NewRequestWithContext(ctx, "GET", s.srv.URL+"/api/jobs/"+job.ID+"/output?offset=0&wait=1", nil)
+	req, err := http.NewRequestWithContext(ctx, "GET", s.srv.URL+"/api/jobs/"+job.ID+"/events", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	req.Header.Set("Authorization", "Bearer "+alice.token)
-	errc := make(chan error, 1)
-	go func() {
-		_, err := http.DefaultClient.Do(req)
-		errc <- err
-	}()
+	res, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
 
-	// The handler is parked in WaitChange with a watcher attached.
+	// The handler is parked in its delivery loop with a watcher attached.
 	waitFor(t, func() bool { return job.Stdout.Stats().Watchers == 1 })
 	cancel()
-	if err := <-errc; err == nil {
-		t.Fatal("cancelled long-poll returned a response")
-	}
 	// No write ever happened, yet the watcher is gone: the handler exited.
 	waitFor(t, func() bool { return job.Stdout.Stats().Watchers == 0 })
+	if st := job.Stdout.Stats(); st.Total != 0 || st.Closed {
+		t.Fatalf("stream touched by the disconnect: %+v", st)
+	}
 }
 
 func TestJobInputOverflowEnvelope(t *testing.T) {
@@ -267,26 +295,4 @@ func waitFor(t *testing.T, cond func() bool) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatal("condition never held")
-}
-
-// TestJobEventsLongPollStillWorks pins the compatibility contract: the
-// long-poll response carries the dropped count next to data/next/done.
-func TestJobEventsLongPollStillWorks(t *testing.T) {
-	s := newStackDispatch(t, false)
-	alice := s.register(t, "alice", "password1")
-	job := submitIdleJob(t, s, "alice")
-	job.Stdout.Write([]byte("abc"))
-	var out struct {
-		Data    string `json:"data"`
-		Next    int64  `json:"next"`
-		Done    bool   `json:"done"`
-		Dropped int64  `json:"dropped"`
-		State   string `json:"state"`
-	}
-	if st := alice.getJSON("/api/jobs/"+job.ID+"/output?offset=0", &out); st != http.StatusOK {
-		t.Fatalf("output status = %d", st)
-	}
-	if out.Data != "abc" || out.Next != 3 || out.Done || out.Dropped != 0 || out.State != "queued" {
-		t.Fatalf("long-poll shape = %+v", out)
-	}
 }

@@ -265,7 +265,10 @@ func (s *Server) handleSetLimits(w http.ResponseWriter, r *http.Request, sess *a
 		l.Weight = *req.Weight
 	}
 	eff := s.tenancy.SetLimits(name, l)
-	s.syncPersistence()
+	if e := s.syncPersistence(); e != nil {
+		writeError(w, r, e)
+		return
+	}
 	s.Log.Infof("limits for %s updated by %s", name, sess.User)
 	s.writeJSON(w, http.StatusOK, limitsResponse{User: name, Limits: l, Effective: eff})
 }

@@ -13,7 +13,7 @@ import (
 // queued jobs can never steal the head's allocation in the same pass.
 func TestBackfillDoesNotStarveQueueHead(t *testing.T) {
 	r := newRig(t, Options{Backfill: true})
-	r.addSource(t, "alice", "/big.mc", helloSrc)
+	r.addSource(t, "alice", "/big.mc", blockingSrc) // the head holds its nodes until stdin closes
 	r.addSource(t, "bob", "/small.mc", helloSrc)
 
 	// Two blockers: 53 + 8 nodes held, 3 free. The head needs 8 and is
@@ -62,6 +62,7 @@ func TestBackfillDoesNotStarveQueueHead(t *testing.T) {
 			t.Fatalf("late job %s started ahead of the head", lj.ID)
 		}
 	}
+	head.Stdin.Close()
 	snap := r.drive(t, head.ID)
 	if snap.State != jobs.StateSucceeded {
 		t.Fatalf("head: %v (%s)", snap.State, snap.Failure)

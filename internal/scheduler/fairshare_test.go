@@ -156,14 +156,24 @@ func TestFairShareWeightProportional(t *testing.T) {
 	ft := newFakeTenant()
 	ft.weights["favored"] = 4
 	r := newRig(t, Options{FairShare: true, Tenant: ft})
-	r.addSource(t, "heavy", "/job.mc", helloSrc)
-	r.addSource(t, "favored", "/job.mc", helloSrc)
+	// Each job holds its node until its stdin closes, so the one pass fills
+	// the 64 nodes once: a job that finished mid-pass would free its node
+	// for the same pass and let both lanes drain toward a 1:1 ratio.
+	r.addSource(t, "heavy", "/job.mc", blockingSrc)
+	r.addSource(t, "favored", "/job.mc", blockingSrc)
 
 	var heavyJobs, favoredJobs []*jobs.Job
 	for i := 0; i < 300; i++ {
 		heavyJobs = append(heavyJobs, r.submit(t, "heavy", "/job.mc", "minic", 1))
 		favoredJobs = append(favoredJobs, r.submit(t, "favored", "/job.mc", "minic", 1))
 	}
+	// Release the running jobs before the rig's Stop, which would otherwise
+	// wait out its drain timeout on them.
+	defer func() {
+		for _, j := range append(heavyJobs, favoredJobs...) {
+			j.Stdin.Close()
+		}
+	}()
 	started := r.sched.Tick()
 	if started < 64 {
 		t.Fatalf("pass started %d jobs, want at least 64", started)

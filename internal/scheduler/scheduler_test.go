@@ -85,6 +85,11 @@ func mustState(r *rig, id string) jobs.State {
 
 const helloSrc = `func main() { println("hello from the cluster"); }`
 
+// blockingSrc holds its nodes until the job's stdin closes, so a test can
+// count one pass's starts without a job finishing mid-pass and freeing its
+// nodes for the same pass.
+const blockingSrc = `func main() { var line = readline(); }`
+
 func TestSequentialJobLifecycle(t *testing.T) {
 	r := newRig(t, Options{})
 	r.addSource(t, "alice", "/hello.mc", helloSrc)
