@@ -2,7 +2,9 @@ package ccportal
 
 import (
 	"context"
+	"errors"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -205,6 +207,30 @@ func main() {
 	}
 }
 
+// TestClientWaitJobTruncatedStream: an event stream that ends before its
+// done frame is an error, not a finished job, even though the job record
+// itself is readable.
+func TestClientWaitJobTruncatedStream(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /api/jobs/job-000001/events", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/event-stream")
+		io.WriteString(w, "event: output\nid: 3\ndata: {\"seq\":3,\"stream\":\"stdout\",\"data\":\"hi\\n\",\"dropped\":0}\n\n")
+	})
+	mux.HandleFunc("GET /api/jobs/job-000001", func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, `{"id":"job-000001","state":"running"}`)
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	job, output, err := NewClient(srv.URL).WaitJob("job-000001", 5*time.Second)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("WaitJob = %+v, %v; want an error wrapping io.ErrUnexpectedEOF", job, err)
+	}
+	if output != "hi\n" {
+		t.Fatalf("output = %q, want the bytes delivered before the cut", output)
+	}
+}
+
 func TestClientParallelJobAndStdin(t *testing.T) {
 	_, ts := newTestSystem(t)
 	c := loggedInClient(t, ts, "alice")
@@ -288,13 +314,18 @@ func TestClientFormatAndEvents(t *testing.T) {
 	if _, _, err := c.WaitJob(job.ID, 15*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	events, err := c.Events(0)
-	if err != nil || len(events) < 4 {
-		t.Fatalf("events = %d, %v", len(events), err)
-	}
+	// done follows the terminal transition, and the node release is
+	// recorded just after it, so read the feed until the release shows.
 	kinds := map[string]bool{}
-	for _, e := range events {
-		kinds[e.Kind] = true
+	for deadline := time.Now().Add(5 * time.Second); !kinds["released"] && time.Now().Before(deadline); {
+		events, err := c.Events(0)
+		if err != nil || len(events) < 4 {
+			t.Fatalf("events = %d, %v", len(events), err)
+		}
+		for _, e := range events {
+			kinds[e.Kind] = true
+		}
+		time.Sleep(time.Millisecond)
 	}
 	for _, want := range []string{"allocated", "running", "succeeded", "released"} {
 		if !kinds[want] {

@@ -443,9 +443,9 @@ type Watch struct {
 }
 
 // Watch subscribes to the job's output from the beginning of its retained
-// history. It returns an iterator of events: call Next until it reports
-// io.EOF (after the Done event). The subscription lives until ctx is
-// cancelled, Close is called, or the job finishes and is drained.
+// history. It returns an iterator of events: call Next until it returns the
+// Done event; after that Next reports io.EOF. The subscription lives until
+// ctx is cancelled, Close is called, or the job finishes and is drained.
 func (c *Client) Watch(ctx context.Context, id string) (*Watch, error) {
 	return c.WatchFrom(ctx, id, 0)
 }
@@ -476,8 +476,9 @@ func (c *Client) WatchFrom(ctx context.Context, id string, seq int64) (*Watch, e
 }
 
 // Next returns the next event, blocking until one arrives. After the job
-// finishes it returns the terminal event (Done=true), then io.EOF. A
-// cancelled context surfaces as the underlying transport error.
+// finishes it returns the terminal event (Done=true), then io.EOF. A stream
+// that ends before the Done event returns io.ErrUnexpectedEOF. A cancelled
+// context surfaces as the underlying transport error.
 func (w *Watch) Next() (WatchEvent, error) {
 	if w.done {
 		return WatchEvent{}, io.EOF
@@ -488,7 +489,7 @@ func (w *Watch) Next() (WatchEvent, error) {
 		line, err := w.br.ReadString('\n')
 		if err != nil {
 			if err == io.EOF {
-				w.done = true
+				err = io.ErrUnexpectedEOF
 			}
 			return WatchEvent{}, err
 		}
@@ -532,7 +533,8 @@ func (c *Client) Cancel(id string) error {
 }
 
 // WaitJob follows the job's event stream until it finishes or the timeout
-// elapses, returning the final record and its full output.
+// elapses, returning the final record and its full output. A stream cut
+// before the job's Done event is an error wrapping io.ErrUnexpectedEOF.
 func (c *Client) WaitJob(id string, timeout time.Duration) (Job, string, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
@@ -544,16 +546,16 @@ func (c *Client) WaitJob(id string, timeout time.Duration) (Job, string, error) 
 	var output strings.Builder
 	for {
 		ev, err := w.Next()
-		if err == io.EOF || (err == nil && ev.Done) {
-			job, serr := c.JobStatus(id)
-			return job, output.String(), serr
-		}
 		if err != nil {
 			if ctx.Err() != nil {
 				job, _ := c.JobStatus(id)
 				return job, output.String(), fmt.Errorf("ccportal: job %s still %s after %v", id, job.State, timeout)
 			}
-			return Job{}, output.String(), err
+			return Job{}, output.String(), fmt.Errorf("ccportal: watching job %s: %w", id, err)
+		}
+		if ev.Done {
+			job, serr := c.JobStatus(id)
+			return job, output.String(), serr
 		}
 		output.WriteString(ev.Data)
 	}

@@ -31,6 +31,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -375,7 +376,7 @@ func watchJob(c *ccportal.Client, id string, timeout time.Duration) (string, err
 	for {
 		ev, err := w.Next()
 		if err != nil {
-			if err == io.EOF {
+			if errors.Is(err, io.ErrUnexpectedEOF) {
 				return "", fmt.Errorf("event stream for %s ended without a done event", id)
 			}
 			return "", err

@@ -190,8 +190,8 @@ func (s *Stream) String() string {
 // StreamStats is a point-in-time summary of one stream.
 type StreamStats struct {
 	// Total is all bytes ever written; Retained is how many of them are
-	// still readable; Dropped is Total - Retained - unread… precisely, the
-	// bytes aged out of retention.
+	// still readable; Dropped is how many aged out of retention, Total -
+	// Retained.
 	Total, Retained, Dropped int64
 	// Watchers is the number of currently attached watchers; PeakWatchers
 	// is the high-water mark over the stream's life.

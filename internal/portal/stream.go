@@ -11,11 +11,12 @@ import (
 	"repro/internal/auth"
 )
 
-// SSE delivery tuning. The coalescing window batches a burst of VM writes
-// into one flush so 10k watchers cost one syscall each per ~10ms instead of
-// one per write; the heartbeat keeps idle connections alive through
-// proxies; the per-event cap turns a huge catch-up into several resumable
-// frames instead of one giant one.
+// SSE delivery tuning. While a job runs, the coalescing window batches a
+// burst of VM writes into one flush so 10k watchers cost one syscall each
+// per ~10ms instead of one per write; once the job is terminal no more bytes
+// can come, so the wait ends early. The heartbeat keeps idle connections
+// alive through proxies; the per-event cap turns a huge catch-up into
+// several resumable frames instead of one giant one.
 const (
 	sseCoalesceWindow = 10 * time.Millisecond
 	sseHeartbeat      = 15 * time.Second
@@ -88,11 +89,11 @@ func writeSSE(w io.Writer, event string, id int64, payload interface{}) error {
 // SSE stream of it at GET /api/jobs/{id}/events. A fresh connection starts at
 // sequence 0 (the oldest retained byte); a reconnecting client resumes from
 // its Last-Event-ID (or an explicit ?seq=N, which wins); seq=-1 attaches at
-// the live tail. Writes from the job's ranks are coalesced for ~10ms and
-// flushed as a batch; a heartbeat comment keeps idle connections open; the
-// stream ends with a "done" event once the job finishes and the watcher has
-// drained. The handler never applies backpressure to the producing VM — a
-// slow consumer sees an explicit dropped count instead.
+// the live tail. While the job runs, writes from its ranks are coalesced for
+// ~10ms and flushed as a batch; once the job is terminal its last batch and
+// the "done" event go out at once, in one flush. A heartbeat comment keeps
+// idle connections open. The handler never applies backpressure to the
+// producing VM — a slow consumer sees an explicit dropped count instead.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request, sess *auth.Session) {
 	job, e := s.jobForRequest(r, sess)
 	if e != nil {
@@ -144,6 +145,10 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request, sess *a
 	wtr := job.Stdout.Watch(from)
 	defer wtr.Close()
 	ctx := r.Context()
+	// The store cancels the job's context last in a terminal transition,
+	// after closing Stdout and recording the final state, so once it is done
+	// the watcher drains for good and "done" carries the terminal state.
+	jobEnded := job.Context().Done()
 	hb := time.NewTicker(sseHeartbeat)
 	defer hb.Stop()
 
@@ -165,14 +170,20 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request, sess *a
 			}
 			sent++
 		}
-		if sent > 0 {
+		drained := wtr.Drained()
+		if drained {
+			if err := writeSSE(w, "done", wtr.Pos(), sseDoneEvent{Seq: wtr.Pos(), State: job.State().String()}); err != nil {
+				return
+			}
+		}
+		if sent > 0 || drained {
 			flusher.Flush()
+		}
+		if sent > 0 {
 			flushHist.Observe(time.Since(start).Seconds())
 			lagHist.Observe(float64(wtr.Lag()))
 		}
-		if wtr.Drained() {
-			writeSSE(w, "done", wtr.Pos(), sseDoneEvent{Seq: wtr.Pos(), State: job.State().String()})
-			flusher.Flush()
+		if drained {
 			return
 		}
 		select {
@@ -185,12 +196,15 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request, sess *a
 			flusher.Flush()
 		case <-wtr.Notify():
 			// First byte of a burst arrived; linger one coalescing window so
-			// the burst ships as a single flush.
+			// the burst ships as a single flush, unless the job ends first.
 			t := time.NewTimer(sseCoalesceWindow)
 		coalesce:
 			for {
 				select {
 				case <-t.C:
+					break coalesce
+				case <-jobEnded:
+					t.Stop()
 					break coalesce
 				case <-ctx.Done():
 					t.Stop()

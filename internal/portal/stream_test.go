@@ -259,6 +259,71 @@ func TestJobEventsDisconnectReleasesWatcher(t *testing.T) {
 	}
 }
 
+// TestJobEventsDoneNotHeldByCoalescing: a job's last output and its done
+// event reach the watcher as soon as the job is terminal, not one coalescing
+// window after its last write. The fastest of a few trials is compared, so
+// one descheduled trial does not fail it.
+func TestJobEventsDoneNotHeldByCoalescing(t *testing.T) {
+	s := newStackDispatch(t, false)
+	alice := s.register(t, "alice", "password1")
+	var fastest time.Duration
+	for trial := 0; trial < 5; trial++ {
+		job := submitIdleJob(t, s, "alice")
+		_, r := openEvents(t, s, alice, job.ID, "", nil)
+		waitFor(t, func() bool { return job.Stdout.Stats().Watchers == 1 })
+		start := time.Now()
+		job.Stdout.Write([]byte("last line\n"))
+		if err := s.store.Transition(job.ID, jobs.StateCancelled, "test"); err != nil {
+			t.Fatal(err)
+		}
+		out, state := r.drain()
+		if d := time.Since(start); trial == 0 || d < fastest {
+			fastest = d
+		}
+		if out != "last line\n" || state != "cancelled" {
+			t.Fatalf("trial %d: output %q, state %q", trial, out, state)
+		}
+	}
+	if fastest >= sseCoalesceWindow {
+		t.Fatalf("fastest done arrived %v after the last write; want under the %v coalescing window",
+			fastest, sseCoalesceWindow)
+	}
+}
+
+// TestJobEventsBurstCoalesces: while the job runs, writes inside one
+// coalescing window reach the watcher as a single frame.
+func TestJobEventsBurstCoalesces(t *testing.T) {
+	s := newStackDispatch(t, false)
+	alice := s.register(t, "alice", "password1")
+	for trial := 1; ; trial++ {
+		job := submitIdleJob(t, s, "alice")
+		job.Stdout.Write([]byte("0"))
+		_, r := openEvents(t, s, alice, job.ID, "", nil)
+		// The catch-up frame is flushed only after the handler has drained
+		// the stream, so every write below reaches it through a wake-up.
+		if ev := r.next(); ev.Data != "0" {
+			t.Fatalf("catch-up event = %+v", ev)
+		}
+		// Spread the burst over part of the window: a handler that flushed
+		// on every wake-up would ship "a" alone.
+		start := time.Now()
+		job.Stdout.Write([]byte("a"))
+		time.Sleep(sseCoalesceWindow / 4)
+		job.Stdout.Write([]byte("b"))
+		job.Stdout.Write([]byte("c"))
+		inWindow := time.Since(start) < sseCoalesceWindow
+		ev := r.next()
+		if ev.name == "output" && ev.Data == "abc" && ev.Seq == 4 {
+			return
+		}
+		// A burst that outlasted the window (a descheduled test goroutine)
+		// proves nothing; try again.
+		if inWindow || trial == 3 {
+			t.Fatalf("trial %d: burst event = %+v, want one output frame \"abc\"", trial, ev)
+		}
+	}
+}
+
 func TestJobInputOverflowEnvelope(t *testing.T) {
 	s := newStackDispatch(t, false)
 	s.store.SetStreamLimits(0, 8)
