@@ -35,7 +35,7 @@ test:
 # race also runs the root package's watch tests: Watch.Close is documented
 # as safe while Next is blocked, and WaitJob follows a live stream.
 race:
-	$(GO) test -race ./internal/cluster/... ./internal/scheduler/... ./internal/jobs/... ./internal/mpi/... ./internal/topology/... ./internal/portal/... ./internal/minic/... ./internal/toolchain/... ./internal/dataprovider/... ./internal/auth/... ./internal/metrics/... ./internal/tenancy/... ./internal/trace/... ./internal/core/...
+	$(GO) test -race ./internal/cluster/... ./internal/scheduler/... ./internal/jobs/... ./internal/mpi/... ./internal/topology/... ./internal/portal/... ./internal/minic/... ./internal/toolchain/... ./internal/dataprovider/... ./internal/auth/... ./internal/metrics/... ./internal/tenancy/... ./internal/trace/... ./internal/core/... ./internal/vfs/...
 	$(GO) test -race -run '^TestClient(Watch|WaitJob)' .
 
 # portalbench-test vets and tests the benchmark's own module. The root

@@ -15,7 +15,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	ccportal "repro"
 )
@@ -118,22 +117,6 @@ func run(configPath, addr, policy, logLevel, admin, dataDir, fsync, pprofAddr, c
 		}
 		os.Exit(0)
 	}()
-	if cfg.Persistence.Mode == "durable" && cfg.Persistence.SnapshotInterval > 0 {
-		// Periodic WAL folding: compact finished jobs past the retention
-		// limit and truncate the log so recovery time stays bounded.
-		go func() {
-			t := time.NewTicker(cfg.Persistence.SnapshotInterval.Std())
-			defer t.Stop()
-			for range t.C {
-				dropped, err := sys.SnapshotNow()
-				if err != nil {
-					logger.Errorf("snapshot: %v", err)
-				} else if dropped > 0 {
-					logger.Infof("snapshot: compacted %d finished jobs", dropped)
-				}
-			}
-		}()
-	}
 	if pprofAddr != "" {
 		// The profiler rides its own listener so it is never exposed on the
 		// portal's public address. http.DefaultServeMux carries the pprof

@@ -166,12 +166,14 @@ type Persistence struct {
 	Fsync string `json:"fsync"`
 	// FsyncInterval is the flush period for the "interval" policy.
 	FsyncInterval Duration `json:"fsync_interval"`
-	// SnapshotInterval is how often the daemon folds the WAL into a fresh
-	// snapshot. Zero disables periodic snapshots (one is still taken on
-	// graceful shutdown).
+	// SnapshotInterval is how often a started system compacts the job
+	// history to JobRetention, in either mode; in durable mode each tick
+	// also folds the WAL into a fresh snapshot. Zero disables the periodic
+	// pass (portald still takes a snapshot on graceful shutdown).
 	SnapshotInterval Duration `json:"snapshot_interval"`
-	// JobRetention is how many finished jobs each snapshot keeps; older
-	// terminal jobs are compacted away. Negative keeps everything.
+	// JobRetention is how many finished jobs each compaction keeps, in
+	// either mode; older terminal jobs are dropped. Negative keeps
+	// everything.
 	JobRetention int `json:"job_retention"`
 }
 

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"time"
 
 	"repro/internal/auth"
 	"repro/internal/clock"
@@ -51,8 +52,9 @@ type System struct {
 	Auth    *auth.Service
 	Sched   *scheduler.Scheduler
 	Portal  *portal.Server
-	// Tenancy is the per-user accounting layer: disk usage, step budgets,
-	// job caps, API rate limits and fair-share weights.
+	// Tenancy is the per-user accounting layer: limits (the disk quota
+	// among them), step budgets, job caps, API rate limits and fair-share
+	// weights.
 	Tenancy *tenancy.Accountant
 	// Provider is the configured persistence backend. Call Recover once
 	// before Start to restore its contents and arm journaling; Close it
@@ -63,6 +65,9 @@ type System struct {
 
 	log     *logging.Logger
 	started bool
+	// snapStop ends the periodic snapshot loop Start launched; snapDone is
+	// closed when the loop has exited. Both are nil when no loop runs.
+	snapStop, snapDone chan struct{}
 }
 
 // NewSystem builds a System from configuration.
@@ -101,9 +106,9 @@ func NewSystem(cfg config.Config, opts Options) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The tenancy accountant must exist before Recover runs: the VFS usage
-	// sink rebuilds disk counters from journal replay, and tenancy records
-	// in the WAL replay straight into it.
+	// The tenancy accountant must exist before Recover runs: tenancy records
+	// in the WAL replay straight into it, and replayed VFS writes read their
+	// quota from it.
 	acct := tenancy.New(tenancy.Limits{
 		QuotaBytes: cfg.Portal.QuotaBytes,
 		StepBudget: cfg.Limits.UserStepBudget,
@@ -112,8 +117,7 @@ func NewSystem(cfg config.Config, opts Options) (*System, error) {
 		Burst:      cfg.Limits.APIRateBurst,
 		Weight:     cfg.Fairness.DefaultWeight,
 	}, clk)
-	fs.SetUsageSink(acct.AddDisk)
-	acct.SetQuotaHook(fs.SetQuota)
+	fs.SetQuotaFunc(func(u string) int64 { return acct.Effective(u).QuotaBytes })
 	store.SetAdmission(acct.AdmitJob)
 	// One registry spans the store, the scheduler and the portal so the job
 	// and scheduler histograms surface on /metrics next to the HTTP ones.
@@ -164,7 +168,9 @@ func NewSystem(cfg config.Config, opts Options) (*System, error) {
 	return sys, nil
 }
 
-// Start launches the background dispatch loop. It is idempotent.
+// Start launches the background dispatch loop and, when
+// persistence.snapshot_interval is positive, the periodic snapshot loop. It
+// is idempotent.
 func (s *System) Start() {
 	if s.started {
 		return
@@ -174,17 +180,52 @@ func (s *System) Start() {
 	// loop); 0 keeps the scheduler's 5ms fallback poll, which only bounds
 	// recovery from a lost wake.
 	s.Sched.Start(0)
+	if every := s.Config.Persistence.SnapshotInterval.Std(); every > 0 {
+		s.snapStop, s.snapDone = make(chan struct{}), make(chan struct{})
+		go s.snapshotLoop(every, s.snapStop, s.snapDone)
+	}
 	s.log.Infof("system started: %d nodes in %d segments",
 		s.Cluster.Size(), s.Config.Cluster.Segments)
 }
 
-// Stop halts the dispatch loop and waits for running jobs.
+// Stop halts the snapshot loop and the dispatch loop and waits for running
+// jobs.
 func (s *System) Stop() {
 	if !s.started {
 		return
 	}
 	s.started = false
+	if s.snapStop != nil {
+		close(s.snapStop)
+		<-s.snapDone
+		s.snapStop, s.snapDone = nil, nil
+	}
 	s.Sched.Stop()
+}
+
+// snapshotLoop runs SnapshotNow every interval until stop is closed, then
+// closes done. It runs in both persistence modes: a tick compacts the job
+// history to persistence.job_retention, and with the durable provider it
+// also folds the WAL into a snapshot so recovery time stays bounded. The
+// memory provider's Snapshot is a no-op, so without the loop a memory-mode
+// portal would keep every finished job for the life of the process.
+func (s *System) snapshotLoop(every time.Duration, stop <-chan struct{}, done chan<- struct{}) {
+	defer close(done)
+	t := time.NewTicker(every)
+	defer t.Stop()
+	for {
+		select {
+		case <-stop:
+			return
+		case <-t.C:
+			dropped, err := s.SnapshotNow()
+			if err != nil {
+				s.log.Errorf("snapshot: %v", err)
+			} else if dropped > 0 {
+				s.log.Infof("snapshot: compacted %d finished jobs", dropped)
+			}
+		}
+	}
 }
 
 // Handler returns the portal's HTTP handler for embedding or testing.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -241,5 +242,48 @@ func TestRecoverOnMemoryProviderIsNoop(t *testing.T) {
 	}
 	if st := sys.Provider.Status(); st.Mode != "memory" {
 		t.Fatalf("provider mode = %q", st.Mode)
+	}
+}
+
+// TestMemoryModeCompactsJobHistory: the periodic snapshot loop runs under
+// the memory provider too, so job_retention bounds the finished jobs a
+// memory-mode portal keeps.
+func TestMemoryModeCompactsJobHistory(t *testing.T) {
+	cfg := config.Default()
+	cfg.Persistence.SnapshotInterval = config.Duration(20 * time.Millisecond)
+	cfg.Persistence.JobRetention = 1
+	sys, err := NewSystem(cfg, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	sys.Start()
+	t.Cleanup(sys.Stop)
+	if err := sys.FS.EnsureHome("alice").WriteFile("/prog.mc", []byte(`func main() { println("hi"); }`)); err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for i := 0; i < 2; i++ {
+		j := mustSubmit(t, sys, "alice")
+		if _, err := sys.Jobs.WaitTerminal(j.ID, 10*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, j.ID)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		_, err := sys.Jobs.Get(ids[0])
+		if errors.Is(err, jobs.ErrNotFound) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("older finished job %s still kept after 2s with job_retention 1 (err = %v)", ids[0], err)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if _, err := sys.Jobs.Get(ids[1]); err != nil {
+		t.Fatalf("newest finished job compacted away: %v", err)
 	}
 }

@@ -11,9 +11,9 @@ import (
 )
 
 // TestTenancyKillAndRecover: tenancy state must survive a hard kill. Limit
-// overrides and step totals replay from the WAL; disk usage is not journaled
-// at all — it must be rebuilt by replaying the VFS journal through the usage
-// sink — and the recovered quota override must be enforceable immediately.
+// overrides and step totals replay from the WAL; disk usage is the VFS's own
+// count, rebuilt by replaying the VFS journal; and the recovered quota
+// override must be enforceable immediately.
 func TestTenancyKillAndRecover(t *testing.T) {
 	dir := t.TempDir()
 	a := durableSystem(t, dir)
@@ -59,17 +59,17 @@ func TestTenancyKillAndRecover(t *testing.T) {
 	if got := b.Tenancy.Steps("alice"); got != 1234 {
 		t.Fatalf("recovered steps = %d, want 1234", got)
 	}
-	// Disk usage was rebuilt through the usage sink during VFS replay: the
-	// 5000-byte survivor counts, the removed 3000-byte file does not.
-	if got := b.Tenancy.DiskUsed("alice"); got != 5000 {
-		t.Fatalf("recovered disk usage = %d, want 5000", got)
-	}
-	// The recovered quota override is live in the VFS: 5000 used of 6000
-	// leaves room for 500 but not 2000.
+	// Disk usage was rebuilt by VFS replay: the 5000-byte survivor counts,
+	// the removed 3000-byte file does not.
 	rhome, err := b.FS.Home("alice")
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := rhome.Used(); got != 5000 {
+		t.Fatalf("recovered disk usage = %d, want 5000", got)
+	}
+	// The recovered quota override is live in the VFS: 5000 used of 6000
+	// leaves room for 500 but not 2000.
 	if err := rhome.WriteFile("/more.bin", make([]byte, 2000)); err == nil {
 		t.Fatal("write over the recovered 6000-byte quota succeeded")
 	}
@@ -89,7 +89,11 @@ func TestTenancyKillAndRecover(t *testing.T) {
 	if got := c.Tenancy.Steps("alice"); got != 1234 {
 		t.Fatalf("steps after second recovery = %d, want 1234", got)
 	}
-	if got := c.Tenancy.DiskUsed("alice"); got != 5500 {
+	chome, err := c.FS.Home("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := chome.Used(); got != 5500 {
 		t.Fatalf("disk after second recovery = %d, want 5500", got)
 	}
 }
@@ -140,9 +144,6 @@ func TestTenancySnapshotRoundTrip(t *testing.T) {
 	}
 	if got := rhome.Used(); got != defQuota*2 {
 		t.Fatalf("restored home used = %d, want %d", got, defQuota*2)
-	}
-	if got := b.Tenancy.DiskUsed("bob"); got != defQuota*2 {
-		t.Fatalf("restored disk accounting = %d, want %d", got, defQuota*2)
 	}
 	if got := b.Tenancy.Steps("bob"); got != 42 {
 		t.Fatalf("restored steps = %d, want 42", got)

@@ -19,7 +19,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -237,7 +236,7 @@ type shard struct {
 //
 // Concurrency layout: job records live in numShards hash-sharded maps keyed
 // by id (Get contends only within a shard); the append-only submission log
-// (order/pos, under listMu) serves List/ListPage; the FIFO queued-index
+// (order/pos, under listMu) serves ListPage; the FIFO queued-index
 // (queue, under queueMu) serves the scheduler's ScanQueued; per-state counts
 // and the admission counter are atomics. The locks are never nested with
 // each other.
@@ -645,21 +644,6 @@ func (s *Store) transition(id string, next State, failure string, now time.Time,
 	return nil
 }
 
-// List returns snapshots, newest first. owner filters when non-empty.
-func (s *Store) List(owner string) []Snapshot {
-	s.listMu.RLock()
-	defer s.listMu.RUnlock()
-	out := make([]Snapshot, 0, len(s.order))
-	for i := len(s.order) - 1; i >= 0; i-- {
-		j := s.order[i]
-		if owner != "" && j.Spec.Owner != owner {
-			continue
-		}
-		out = append(out, j.Snapshot())
-	}
-	return out
-}
-
 // ListPage returns one page of snapshots, newest first. owner filters when
 // non-empty; state filters when non-nil. cursor is the ID of the last job of
 // the previous page ("" starts at the newest); the scan resumes strictly
@@ -716,21 +700,6 @@ func (s *Store) ListPageInto(dst []Snapshot, owner string, state *State, limit i
 		}
 	}
 	return dst, "", nil
-}
-
-// Active returns snapshots of non-terminal jobs in submission order. It
-// walks the whole submission log; the scheduler's dispatch pass uses
-// ScanQueued instead, which touches only queued jobs.
-func (s *Store) Active() []Snapshot {
-	s.listMu.RLock()
-	defer s.listMu.RUnlock()
-	var out []Snapshot
-	for _, j := range s.order {
-		if snap := j.Snapshot(); !snap.State.Terminal() {
-			out = append(out, snap)
-		}
-	}
-	return out
 }
 
 // ScanQueued walks still-queued jobs in submission (FIFO) order, calling fn
@@ -803,20 +772,4 @@ func (s *Store) WaitTerminal(id string, timeout time.Duration) (Snapshot, error)
 		return snap, fmt.Errorf("jobs: %s still %s after %v", id, snap.State, timeout)
 	}
 	return snap, nil
-}
-
-// OwnersWithJobs lists distinct owners, sorted.
-func (s *Store) OwnersWithJobs() []string {
-	s.listMu.RLock()
-	defer s.listMu.RUnlock()
-	set := map[string]bool{}
-	for _, j := range s.order {
-		set[j.Spec.Owner] = true
-	}
-	out := make([]string, 0, len(set))
-	for o := range set {
-		out = append(out, o)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -3,7 +3,6 @@ package jobs
 import (
 	"errors"
 	"io"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -147,17 +146,19 @@ func TestListNewestFirstAndOwnerFilter(t *testing.T) {
 	bobSpec.Owner = "bob"
 	s.Submit(bobSpec)
 	s.Submit(spec())
-	all := s.List("")
+	all, _, err := s.ListPage("", nil, 10, "")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(all) != 3 || all[0].ID != "job-000003" || all[2].ID != "job-000001" {
-		t.Fatalf("List order: %v", jobIDs(all))
+		t.Fatalf("ListPage order: %v", jobIDs(all))
 	}
-	alice := s.List("alice")
-	if len(alice) != 2 {
+	alice, _, err := s.ListPage("alice", nil, 10, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(alice) != 2 || alice[0].ID != "job-000003" || alice[1].ID != "job-000001" {
 		t.Fatalf("alice jobs = %v", jobIDs(alice))
-	}
-	owners := s.OwnersWithJobs()
-	if strings.Join(owners, ",") != "alice,bob" {
-		t.Fatalf("owners = %v", owners)
 	}
 }
 
@@ -168,9 +169,8 @@ func TestActiveAndCounts(t *testing.T) {
 	s.Transition(j1.ID, StateCompiling, "")
 	s.Transition(j1.ID, StateRunning, "")
 	s.Transition(j1.ID, StateSucceeded, "")
-	active := s.Active()
-	if len(active) != 1 || active[0].ID != "job-000002" {
-		t.Fatalf("active = %v", jobIDs(active))
+	if got := s.ActiveByOwner("alice"); got != 1 {
+		t.Fatalf("ActiveByOwner = %d, want 1", got)
 	}
 	counts := s.Counts()
 	if counts[StateSucceeded] != 1 || counts[StateQueued] != 1 {

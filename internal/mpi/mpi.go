@@ -505,17 +505,6 @@ func (c *Comm) SendFloats(dst, tag int, v []float64) error {
 	return c.deliver(dst, m, int64(8*len(v)))
 }
 
-// RecvFloats receives a float64 slice.
-func (c *Comm) RecvFloats(src, tag int) ([]float64, error) {
-	m, err := c.recvMsg(src, tag)
-	if err != nil {
-		return nil, err
-	}
-	v, err := decodeFloats(m.data)
-	m.release()
-	return v, err
-}
-
 // recvFloatsInto receives a float vector of exactly len(dst) elements from
 // src into dst. A frame of any other length — including the zero-length
 // frames a tag-space bug could produce — is a clean error, never a panic.

@@ -111,7 +111,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	rb.buf.Reset()
 	if err := rb.enc.Encode(v); err != nil {
 		putBuf(rb)
-		s.Log.Errorf("portal: encoding %T response failed (rid=%s): %v", v, requestIDOf(w, nil), err)
+		s.Log.Errorf("portal: encoding %T response failed (rid=%s): %v", v, requestIDOf(w), err)
 		writeBody(w, http.StatusInternalServerError, encodeFailedBody)
 		return
 	}
@@ -119,15 +119,11 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	putBuf(rb)
 }
 
-// requestIDOf recovers the request ID the middleware assigned: from the
-// statusWriter wrapping the response on the normal serving path, or from the
-// request context for handlers invoked directly (tests).
-func requestIDOf(w http.ResponseWriter, r *http.Request) string {
+// requestIDOf recovers the request ID the middleware assigned from the
+// statusWriter wrapping the response, or "" for a handler invoked directly.
+func requestIDOf(w http.ResponseWriter) string {
 	if sw, ok := w.(*statusWriter); ok {
 		return sw.rid
-	}
-	if r != nil {
-		return RequestIDFromContext(r.Context())
 	}
 	return ""
 }

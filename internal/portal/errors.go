@@ -73,7 +73,7 @@ func writeError(w http.ResponseWriter, r *http.Request, e *apiErr) {
 		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 	}
 	env := errorEnvelope{errorBody{
-		Code: e.code, Message: e.msg, Details: e.details, RequestID: requestIDOf(w, r),
+		Code: e.code, Message: e.msg, Details: e.details, RequestID: requestIDOf(w),
 	}}
 	rb := getBuf()
 	rb.buf.Reset()

@@ -1,7 +1,6 @@
 package portal
 
 import (
-	"context"
 	"net/http"
 	"strconv"
 	"sync"
@@ -19,25 +18,6 @@ const RequestIDHeader = "X-Request-ID"
 // ridHeaderKey is RequestIDHeader in the canonical form the header map keys
 // by, so the middleware can assign directly instead of going through Set.
 const ridHeaderKey = "X-Request-Id"
-
-// ridKey keys the request ID in a request context.
-type ridKey struct{}
-
-// RequestIDFromContext returns the request ID carried by ctx, or "". The
-// serving path no longer stores the ID in the context (cloning the request
-// for a WithValue cost two allocations on every request); handlers reached
-// through ServeHTTP recover it from the statusWriter via requestIDOf. This
-// remains for callers that inject an ID into a context themselves.
-func RequestIDFromContext(ctx context.Context) string {
-	id, _ := ctx.Value(ridKey{}).(string)
-	return id
-}
-
-// ContextWithRequestID returns a context carrying the request ID, for code
-// paths that hand work to goroutines outliving the request.
-func ContextWithRequestID(ctx context.Context, rid string) context.Context {
-	return context.WithValue(ctx, ridKey{}, rid)
-}
 
 // sanitizeRequestID accepts a client-supplied ID only if it is short and
 // printable ASCII without spaces — anything else would corrupt access logs.

@@ -126,13 +126,8 @@ func (s *Server) installStandardMetrics() {
 	reg.RegisterFunc("jobs_running", func() int64 {
 		return int64(s.Jobs.Counts()[jobs.StateRunning])
 	})
-	reg.RegisterFunc("jobs_queued", func() int64 {
-		return int64(s.Jobs.Counts()[jobs.StateQueued])
-	})
+	reg.RegisterFunc("jobs_queued", s.Jobs.QueuedCount)
 	reg.RegisterFunc("scheduler_dispatched_total", func() int64 { return s.Sched.Dispatched() })
-	reg.RegisterFunc("scheduler_queue_depth", func() int64 {
-		return int64(s.Jobs.Counts()[jobs.StateQueued])
-	})
 	reg.RegisterFunc("scheduler_dispatch_latency_us_last", s.Sched.DispatchLatencyLastUS)
 	reg.RegisterFunc("scheduler_dispatch_latency_us_sum", s.Sched.DispatchLatencySumUS)
 	reg.RegisterFunc("scheduler_cancelled_running_total", s.Sched.CancelledWhileRunning)
@@ -612,7 +607,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, sess *auth
 		writeError(w, r, fromDomain(err))
 		return
 	}
-	if rid := requestIDOf(w, r); rid != "" {
+	if rid := requestIDOf(w); rid != "" {
 		job.Trace().Root().Annotate("request_id", rid)
 	}
 	if e := s.syncPersistence(); e != nil {

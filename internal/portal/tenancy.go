@@ -26,9 +26,6 @@ import (
 // Without it the endpoints answer 503 and no rate limiting happens.
 func (s *Server) SetTenancy(acct *tenancy.Accountant) { s.tenancy = acct }
 
-// Tenancy returns the attached accountant (nil when tenancy is off).
-func (s *Server) Tenancy() *tenancy.Accountant { return s.tenancy }
-
 func (s *Server) installTenancy(mux *http.ServeMux) {
 	s.route(mux, "GET /api/usage", s.withAuth(s.handleUsage))
 	s.route(mux, "GET /api/admin/users/usage", s.withRole(auth.RoleAdmin, s.handleAdminUsageList))
@@ -75,14 +72,19 @@ func appendJSONFloat(b []byte, f float64) []byte {
 
 // appendUsage appends one user's usage document. Hand-encoded: GET /api/usage
 // sits on dashboards' poll loops next to the job list, so it shares the
-// zero-alloc serving path.
-func appendUsage(b []byte, acct *tenancy.Accountant, user string, activeJobs int) []byte {
-	u := acct.UsageOf(user)
+// zero-alloc serving path. The bytes used are the VFS's own count (0 for a
+// user without a home); every other field comes from the accountant.
+func (s *Server) appendUsage(b []byte, user string) []byte {
+	u := s.tenancy.UsageOf(user)
 	eff := u.Effective
+	var used int64
+	if h, err := s.FS.Home(user); err == nil {
+		used = h.Used()
+	}
 	b = append(b, `{"user":`...)
 	b = appendJSONString(b, user)
 	b = append(b, `,"disk":{"used_bytes":`...)
-	b = strconv.AppendInt(b, u.DiskBytes, 10)
+	b = strconv.AppendInt(b, used, 10)
 	b = append(b, `,"quota_bytes":`...)
 	b = strconv.AppendInt(b, orUnlimited(eff.QuotaBytes), 10)
 	b = append(b, `},"steps":{"used":`...)
@@ -100,7 +102,7 @@ func appendUsage(b []byte, acct *tenancy.Accountant, user string, activeJobs int
 		b = append(b, '-', '1')
 	}
 	b = append(b, `},"jobs":{"active":`...)
-	b = strconv.AppendInt(b, int64(activeJobs), 10)
+	b = strconv.AppendInt(b, int64(s.Jobs.ActiveByOwner(user)), 10)
 	b = append(b, `,"max":`...)
 	b = strconv.AppendInt(b, orUnlimited(int64(eff.MaxJobs)), 10)
 	b = append(b, `},"rate":{"per_sec":`...)
@@ -122,7 +124,7 @@ func (s *Server) handleUsage(w http.ResponseWriter, r *http.Request, sess *auth.
 		return
 	}
 	rb := getBuf()
-	b := appendUsage(rb.b[:0], s.tenancy, sess.User, s.Jobs.ActiveByOwner(sess.User))
+	b := s.appendUsage(rb.b[:0], sess.User)
 	rb.b = append(b, '\n')
 	writeRaw(w, http.StatusOK, rb)
 }
@@ -138,7 +140,7 @@ func (s *Server) handleAdminUsage(w http.ResponseWriter, r *http.Request, _ *aut
 		return
 	}
 	rb := getBuf()
-	b := appendUsage(rb.b[:0], s.tenancy, name, s.Jobs.ActiveByOwner(name))
+	b := s.appendUsage(rb.b[:0], name)
 	rb.b = append(b, '\n')
 	writeRaw(w, http.StatusOK, rb)
 }
@@ -194,7 +196,7 @@ func (s *Server) handleAdminUsageList(w http.ResponseWriter, r *http.Request, _ 
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = appendUsage(b, s.tenancy, name, s.Jobs.ActiveByOwner(name))
+		b = s.appendUsage(b, name)
 	}
 	b = append(b, ']')
 	if end < len(names) {

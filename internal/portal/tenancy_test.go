@@ -14,11 +14,13 @@ import (
 	"repro/internal/tenancy"
 )
 
-// attachTenancy wires a fresh accountant into the stack's server, the way
-// core.NewSystem does. newStack leaves tenancy off so unrelated tests never
-// pass through the token bucket; tenancy tests opt in here.
+// attachTenancy wires a fresh accountant into the stack's server and
+// filesystem, the way core.NewSystem does. newStack leaves tenancy off so
+// unrelated tests never pass through the token bucket; tenancy tests opt in
+// here.
 func attachTenancy(s *stack, defaults tenancy.Limits) *tenancy.Accountant {
 	acct := tenancy.New(defaults, clock.NewSim())
+	s.fs.SetQuotaFunc(func(u string) int64 { return acct.Effective(u).QuotaBytes })
 	s.server.SetTenancy(acct)
 	return acct
 }
@@ -68,9 +70,12 @@ func TestUsageEndpointMatchesEncodingJSON(t *testing.T) {
 		RatePerSec: 2.5, Burst: 7, Weight: 1,
 	})
 	c := s.register(t, "alice", "password1")
-	acct.AddDisk("alice", 12345)
 	acct.ChargeSteps("alice", 250)
-	c.do("PUT", "/api/files/content?path=/p.mc", "func main() { }")
+	const src = "func main() { }"
+	c.do("PUT", "/api/files/content?path=/p.mc", src)
+	if st, body := c.do("PUT", "/api/files/content?path=/data.bin", strings.Repeat("x", 12345)); st != http.StatusCreated {
+		t.Fatalf("upload status = %d: %s", st, body)
+	}
 	if st, body := c.do("POST", "/api/jobs", map[string]interface{}{"source_path": "/p.mc"}); st != http.StatusAccepted {
 		t.Fatalf("submit status = %d: %s", st, body)
 	}
@@ -85,7 +90,7 @@ func TestUsageEndpointMatchesEncodingJSON(t *testing.T) {
 
 	var want usageDoc
 	want.User = "alice"
-	want.Disk.UsedBytes = 12345
+	want.Disk.UsedBytes = 12345 + int64(len(src)) // the VFS's count: both files
 	want.Disk.QuotaBytes = 1 << 20
 	want.Steps.Used = 250
 	want.Steps.Budget = 1000
@@ -155,10 +160,12 @@ func TestAppendJSONFloatParity(t *testing.T) {
 
 func TestAdminUsageEndpointAccess(t *testing.T) {
 	s := newStackDispatch(t, false)
-	acct := attachTenancy(s, tenancy.Limits{QuotaBytes: 4096})
+	attachTenancy(s, tenancy.Limits{QuotaBytes: 4096})
 	student := s.register(t, "alice", "password1")
 	admin := registerWithRole(t, s, "root1", auth.RoleAdmin)
-	acct.AddDisk("alice", 99)
+	if st, body := student.do("PUT", "/api/files/content?path=/f.txt", strings.Repeat("x", 99)); st != http.StatusCreated {
+		t.Fatalf("upload status = %d: %s", st, body)
+	}
 
 	if status, body := student.do("GET", "/api/admin/users/alice/usage", nil); status != http.StatusForbidden {
 		t.Fatalf("student read of admin usage = %d: %s", status, body)
@@ -389,12 +396,11 @@ func TestSubmitJobCap(t *testing.T) {
 	}
 }
 
-// TestUploadQuotaExceeded: a tenancy quota override pushed into the VFS turns
-// an oversized upload into 413 quota_exceeded.
+// TestUploadQuotaExceeded: a tenancy quota override, read by the VFS on the
+// write, turns an oversized upload into 413 quota_exceeded.
 func TestUploadQuotaExceeded(t *testing.T) {
 	s := newStackDispatch(t, false)
 	acct := attachTenancy(s, tenancy.Limits{})
-	acct.SetQuotaHook(s.fs.SetQuota)
 	c := s.register(t, "alice", "password1")
 	acct.SetLimits("alice", tenancy.Limits{QuotaBytes: 16})
 

@@ -12,8 +12,8 @@ import (
 // tenant: their limit overrides (upserted whole, like auth users) and their
 // cumulative step total (journaled as an absolute value so replay over a
 // snapshot that already folded part of the history is idempotent). Disk
-// usage is deliberately absent — it is derived state, rebuilt by replaying
-// the VFS journal through the usage sink during recovery.
+// usage is absent: the VFS counts it, and replaying the VFS journal rebuilds
+// the count.
 
 // LimitsRecord is the WAL payload for a limits change.
 type LimitsRecord struct {
@@ -98,13 +98,12 @@ func (a *Accountant) ApplyRecord(rec dataprovider.Record) error {
 }
 
 // restoreLimits applies an override set without journaling (the record is
-// already in the log) but still pushes the quota hook so the VFS agrees.
+// already in the log).
 func (a *Accountant) restoreLimits(user string, l Limits) {
 	ac := a.acct(user)
 	ac.mu.Lock()
 	ac.limits = l
 	ac.mu.Unlock()
-	a.pushQuota(user, a.resolveLimits(l).QuotaBytes)
 }
 
 // restoreSteps sets the cumulative total to max(current, total).

@@ -1,19 +1,18 @@
-// Package tenancy is the portal's per-user accounting layer: disk usage,
-// cumulative VM step consumption, concurrent-job counts, API token buckets,
-// and fair-share weights, all keyed by username.
+// Package tenancy is the portal's per-user accounting layer: limits and
+// their overrides, cumulative VM step consumption, concurrent-job admission,
+// API token buckets, and fair-share weights, all keyed by username. Disk
+// usage is not kept here: the VFS counts a user's bytes and asks the
+// accountant for their quota.
 //
 // The accountant is deliberately passive — it never reaches into the VFS,
 // the job store, or the scheduler. Those subsystems push usage into it
-// (vfs usage sink → AddDisk, scheduler → ChargeSteps, job store → AdmitJob)
-// and pull decisions out of it (Allow, StepsRemaining, Weight). That keeps
-// the dependency arrows pointing one way and lets every consumer be tested
-// against a fake.
+// (scheduler → ChargeSteps, job store → AdmitJob) and pull decisions out of
+// it (Effective, Allow, StepsRemaining, Weight). That keeps the dependency
+// arrows pointing one way, so the VFS may call Effective with a home locked,
+// and lets every consumer be tested against a fake.
 //
 // Concurrency layout mirrors the job store: accounts live in hash-sharded
-// maps so two users never contend, and the disk counter is a lock-free
-// pending cell (sftpgo's quota-updater pattern): writers fold deltas into an
-// atomic and only the reader reconciles, so the VFS write path never takes a
-// tenancy lock.
+// maps so two users never contend.
 package tenancy
 
 import (
@@ -21,7 +20,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/clock"
@@ -55,33 +53,21 @@ type Limits struct {
 	Weight int64 `json:"weight,omitempty"`
 }
 
-// Usage is a point-in-time snapshot of one user's consumption.
+// Usage is a point-in-time snapshot of one user's standing.
 type Usage struct {
 	User      string
-	DiskBytes int64
 	Steps     int64
 	Overrides Limits // per-user overrides as stored (zero = inherited)
 	Effective Limits // overrides resolved against the defaults
 }
 
-// foldThreshold is how many pending disk bytes (absolute value) accumulate
-// before a writer folds them into the settled counter. Small enough that a
-// reader is never more than one lab exercise behind, large enough that a
-// burst of little writes costs one atomic add each.
-const foldThreshold = 64 << 10
-
-// account is one user's ledger. steps and overrides live under mu; the disk
-// counter is split into a settled part (under mu) and a lock-free pending
-// cell so AddDisk never blocks a VFS write.
+// account is one user's ledger, all of it under mu.
 type account struct {
 	name string
-
-	pendingDisk atomic.Int64
 
 	mu       sync.Mutex
 	limits   Limits // overrides; zero fields inherit the defaults
 	steps    int64  // cumulative VM steps charged
-	disk     int64  // settled disk bytes
 	tokens   float64
 	lastFill time.Time
 }
@@ -100,13 +86,8 @@ type Accountant struct {
 	defaults Limits
 	clk      clock.Clock
 
-	// journal receives a record for every limits change and step charge;
-	// disk usage is deliberately not journaled — it is derived state,
-	// rebuilt by replaying the VFS journal through the usage sink.
+	// journal receives a record for every limits change and step charge.
 	journal journalField
-
-	quotaMu   sync.Mutex
-	quotaHook func(user string, quota int64)
 }
 
 // New returns an Accountant with the given deployment defaults. In defaults,
@@ -121,18 +102,6 @@ func New(defaults Limits, clk clock.Clock) *Accountant {
 		a.shards[i].accounts = make(map[string]*account)
 	}
 	return a
-}
-
-// Defaults returns the deployment-wide default limits.
-func (a *Accountant) Defaults() Limits { return a.defaults }
-
-// SetQuotaHook installs the callback limit changes push resolved disk quotas
-// through — core wires it to vfs.FS.SetQuota so the filesystem enforces the
-// new quota on its own write path.
-func (a *Accountant) SetQuotaHook(fn func(user string, quota int64)) {
-	a.quotaMu.Lock()
-	a.quotaHook = fn
-	a.quotaMu.Unlock()
 }
 
 func (a *Accountant) shardFor(user string) *shard {
@@ -239,8 +208,8 @@ func (a *Accountant) Overrides(user string) Limits {
 	return ac.limits
 }
 
-// SetLimits replaces the user's overrides, journals the change, and pushes
-// the resolved disk quota through the quota hook.
+// SetLimits replaces the user's overrides, journals the change, and returns
+// the resolved limits.
 func (a *Accountant) SetLimits(user string, l Limits) Limits {
 	ac := a.acct(user)
 	ac.mu.Lock()
@@ -253,69 +222,7 @@ func (a *Accountant) SetLimits(user string, l Limits) Limits {
 	}
 	ac.mu.Unlock()
 	a.journalLimits(user, l)
-	a.pushQuota(user, eff.QuotaBytes)
 	return eff
-}
-
-// pushQuota forwards the resolved quota to the hook. quota <= 0 (unlimited)
-// is forwarded as -1, the VFS convention for "no quota".
-func (a *Accountant) pushQuota(user string, quota int64) {
-	a.quotaMu.Lock()
-	hook := a.quotaHook
-	a.quotaMu.Unlock()
-	if hook == nil {
-		return
-	}
-	if quota <= 0 {
-		quota = -1
-	}
-	hook(user, quota)
-}
-
-// AddDisk records a disk usage delta for the user. Lock-free on the fast
-// path: the delta lands in an atomic pending cell and is folded into the
-// settled counter only when it crosses foldThreshold, so a VFS write never
-// waits on tenancy state.
-func (a *Accountant) AddDisk(user string, delta int64) {
-	if delta == 0 {
-		return
-	}
-	ac := a.acct(user)
-	pending := ac.pendingDisk.Add(delta)
-	if pending >= foldThreshold || pending <= -foldThreshold {
-		a.foldDisk(ac)
-	}
-}
-
-// foldDisk moves whatever is pending into the settled counter.
-func (a *Accountant) foldDisk(ac *account) {
-	moved := ac.pendingDisk.Swap(0)
-	if moved == 0 {
-		return
-	}
-	ac.mu.Lock()
-	ac.disk += moved
-	if ac.disk < 0 {
-		ac.disk = 0
-	}
-	ac.mu.Unlock()
-}
-
-// DiskUsed returns the user's disk usage including any unfolded pending
-// deltas, so readers always see writes that already happened.
-func (a *Accountant) DiskUsed(user string) int64 {
-	ac := a.peek(user)
-	if ac == nil {
-		return 0
-	}
-	ac.mu.Lock()
-	settled := ac.disk
-	ac.mu.Unlock()
-	used := settled + ac.pendingDisk.Load()
-	if used < 0 {
-		return 0
-	}
-	return used
 }
 
 // ChargeSteps adds n VM steps to the user's cumulative consumption and
@@ -432,7 +339,6 @@ func (a *Accountant) Users() []string {
 func (a *Accountant) UsageOf(user string) Usage {
 	return Usage{
 		User:      user,
-		DiskBytes: a.DiskUsed(user),
 		Steps:     a.Steps(user),
 		Overrides: a.Overrides(user),
 		Effective: a.Effective(user),

@@ -118,47 +118,6 @@ func TestTokenBucket(t *testing.T) {
 	}
 }
 
-func TestDiskAccountingFoldsPending(t *testing.T) {
-	a := New(Limits{}, clock.NewSim())
-	a.AddDisk("u", 100)
-	if got := a.DiskUsed("u"); got != 100 {
-		t.Fatalf("DiskUsed = %d, want 100 (pending visible to readers)", got)
-	}
-	a.AddDisk("u", foldThreshold) // crosses the fold threshold
-	if got := a.DiskUsed("u"); got != 100+foldThreshold {
-		t.Fatalf("DiskUsed = %d, want %d", got, 100+foldThreshold)
-	}
-	// Usage never reads negative even if frees outrun recorded writes.
-	a.AddDisk("u", -10*foldThreshold)
-	if got := a.DiskUsed("u"); got != 0 {
-		t.Fatalf("DiskUsed = %d, want 0 (floored)", got)
-	}
-}
-
-func TestDiskAccountingConcurrent(t *testing.T) {
-	a := New(Limits{}, clock.NewSim())
-	const (
-		writers = 8
-		each    = 2000
-		delta   = 1 << 10
-	)
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < each; i++ {
-				a.AddDisk("shared", delta)
-				a.DiskUsed("shared") // readers race the folds
-			}
-		}()
-	}
-	wg.Wait()
-	if got, want := a.DiskUsed("shared"), int64(writers*each*delta); got != want {
-		t.Fatalf("DiskUsed = %d, want %d (deltas lost under concurrency)", got, want)
-	}
-}
-
 // memJournal captures emitted records for replay assertions.
 type memJournal struct {
 	mu   sync.Mutex
@@ -214,7 +173,7 @@ func TestExportImport(t *testing.T) {
 	a := New(Limits{}, clock.NewSim())
 	a.SetLimits("alice", Limits{Weight: 8})
 	a.ChargeSteps("bob", 77)
-	a.AddDisk("carol", 500) // disk-only accounts carry no durable state
+	a.SetLimits("carol", Limits{}) // overrides reset to zero carry no durable state
 
 	recs := a.Export()
 	if len(recs) != 2 {
@@ -237,22 +196,5 @@ func TestExportImport(t *testing.T) {
 	}
 	if b.Steps("bob") != 77 {
 		t.Fatalf("steps after re-import = %d", b.Steps("bob"))
-	}
-}
-
-func TestSetLimitsPushesQuotaHook(t *testing.T) {
-	a := New(Limits{QuotaBytes: 1000}, clock.NewSim())
-	var gotUser string
-	var gotQuota int64
-	a.SetQuotaHook(func(user string, quota int64) { gotUser, gotQuota = user, quota })
-
-	a.SetLimits("alice", Limits{QuotaBytes: 9000})
-	if gotUser != "alice" || gotQuota != 9000 {
-		t.Fatalf("hook saw (%q, %d), want (alice, 9000)", gotUser, gotQuota)
-	}
-	// Unlimited resolves to the VFS convention -1.
-	a.SetLimits("alice", Limits{QuotaBytes: -5})
-	if gotQuota != -1 {
-		t.Fatalf("unlimited quota forwarded as %d, want -1", gotQuota)
 	}
 }

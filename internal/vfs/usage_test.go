@@ -1,18 +1,18 @@
 package vfs_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"repro/internal/clock"
-	"repro/internal/tenancy"
 	"repro/internal/vfs"
 )
 
 // walkBytes recomputes a home's usage from scratch — the brute-force rescan
-// the incremental usage sink must always agree with.
+// the incremental Home.Used counter must always agree with.
 func walkBytes(t *testing.T, h *vfs.Home) int64 {
 	t.Helper()
 	var sum int64
@@ -30,7 +30,7 @@ func walkBytes(t *testing.T, h *vfs.Home) int64 {
 
 // randomOps drives one home through n random mutations: writes (fresh and
 // overwriting), removes, copies and mkdirs. Every operation the VFS accepts
-// must be mirrored exactly by the usage sink; rejected operations (quota,
+// must move Home.Used by exactly its byte delta; rejected operations (quota,
 // missing paths) must not move the counter at all.
 func randomOps(t *testing.T, h *vfs.Home, rng *rand.Rand, n int) {
 	t.Helper()
@@ -57,32 +57,20 @@ func randomOps(t *testing.T, h *vfs.Home, rng *rand.Rand, n int) {
 	}
 }
 
-func TestUsageSinkMatchesRescan(t *testing.T) {
-	clk := clock.NewSim()
-	acct := tenancy.New(tenancy.Limits{}, clk)
-	fs := vfs.New(64<<10, clk) // small quota so some writes are rejected
-	fs.SetUsageSink(acct.AddDisk)
-
+func TestUsedMatchesRescan(t *testing.T) {
+	fs := vfs.New(64<<10, clock.NewSim()) // small quota so some writes are rejected
 	rng := rand.New(rand.NewSource(7))
 	h := fs.EnsureHome("alice")
 	for round := 0; round < 20; round++ {
 		randomOps(t, h, rng, 50)
-		rescan := walkBytes(t, h)
-		if used := h.Used(); used != rescan {
+		if used, rescan := h.Used(), walkBytes(t, h); used != rescan {
 			t.Fatalf("round %d: Home.Used = %d, rescan = %d", round, used, rescan)
-		}
-		if got := acct.DiskUsed("alice"); got != rescan {
-			t.Fatalf("round %d: accountant says %d, rescan = %d", round, got, rescan)
 		}
 	}
 }
 
-func TestUsageSinkMatchesRescanConcurrent(t *testing.T) {
-	clk := clock.NewSim()
-	acct := tenancy.New(tenancy.Limits{}, clk)
-	fs := vfs.New(1<<20, clk)
-	fs.SetUsageSink(acct.AddDisk)
-
+func TestUsedMatchesRescanConcurrent(t *testing.T) {
+	fs := vfs.New(1<<20, clock.NewSim())
 	const users = 6
 	var wg sync.WaitGroup
 	for u := 0; u < users; u++ {
@@ -101,40 +89,62 @@ func TestUsageSinkMatchesRescanConcurrent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rescan := walkBytes(t, h)
-		if got := acct.DiskUsed(name); got != rescan {
-			t.Fatalf("%s: accountant says %d, rescan = %d", name, got, rescan)
+		if used, rescan := h.Used(), walkBytes(t, h); used != rescan {
+			t.Fatalf("%s: Home.Used = %d, rescan = %d", name, used, rescan)
 		}
 	}
 }
 
-// TestQuotaOverrideAppliesToLiveHome covers the SetQuota hook path: raising
-// and lowering a user's quota must take effect on the existing home, and a
-// reset (quota 0) must fall back to the deployment default.
+// TestQuotaOverrideAppliesToLiveHome covers SetQuotaFunc: the lookup runs
+// on every write and copy, so raising a user's quota, lifting it and
+// resetting it to the default take effect on the existing home, and a home
+// created later sees its own quota from the first write.
 func TestQuotaOverrideAppliesToLiveHome(t *testing.T) {
-	clk := clock.NewSim()
-	fs := vfs.New(1024, clk)
+	const def = 1024
+	overrides := map[string]int64{} // 0 or absent inherits def, < 0 is unlimited
+	fs := vfs.New(def, clock.NewSim())
+	fs.SetQuotaFunc(func(user string) int64 {
+		if q := overrides[user]; q != 0 {
+			return q
+		}
+		return def
+	})
 	h := fs.EnsureHome("u")
 
-	if err := h.WriteFile("/big.dat", make([]byte, 2048)); err == nil {
-		t.Fatal("write over default quota succeeded")
+	if err := h.WriteFile("/big.dat", make([]byte, 2048)); !errors.Is(err, vfs.ErrQuotaExceeded) {
+		t.Fatalf("write over default quota: err = %v, want ErrQuotaExceeded", err)
 	}
-	fs.SetQuota("u", 4096)
+	overrides["u"] = 4096
 	if err := h.WriteFile("/big.dat", make([]byte, 2048)); err != nil {
 		t.Fatalf("write under raised quota: %v", err)
 	}
-	fs.SetQuota("u", -1) // unlimited
+	// A copy is charged against the same lookup: 2048 + 2048 fits 4096, a
+	// third copy does not.
+	if err := h.Copy("/big.dat", "/copy1.dat"); err != nil {
+		t.Fatalf("copy under raised quota: %v", err)
+	}
+	if err := h.Copy("/big.dat", "/copy2.dat"); !errors.Is(err, vfs.ErrQuotaExceeded) {
+		t.Fatalf("copy over quota: err = %v, want ErrQuotaExceeded", err)
+	}
+	overrides["u"] = -1 // unlimited
 	if err := h.WriteFile("/huge.dat", make([]byte, 1<<20)); err != nil {
 		t.Fatalf("write under unlimited quota: %v", err)
 	}
-	h.Remove("/huge.dat", false)
-	fs.SetQuota("u", 0) // back to the default
-	if err := h.WriteFile("/more.dat", make([]byte, 2048)); err == nil {
-		t.Fatal("write over restored default quota succeeded")
+	if err := h.Copy("/huge.dat", "/huge2.dat"); err != nil {
+		t.Fatalf("copy under unlimited quota: %v", err)
+	}
+	for _, p := range []string{"/huge.dat", "/huge2.dat", "/copy1.dat"} {
+		if err := h.Remove(p, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	overrides["u"] = 0 // back to the default
+	if err := h.WriteFile("/more.dat", make([]byte, 2048)); !errors.Is(err, vfs.ErrQuotaExceeded) {
+		t.Fatalf("write over restored default quota: err = %v, want ErrQuotaExceeded", err)
 	}
 
-	// The override must also govern homes created after the call.
-	fs.SetQuota("late", 8192)
+	// A quota set before the home exists governs it from the first write.
+	overrides["late"] = 8192
 	late := fs.EnsureHome("late")
 	if err := late.WriteFile("/f.dat", make([]byte, 4096)); err != nil {
 		t.Fatalf("late home ignored its pre-set quota: %v", err)

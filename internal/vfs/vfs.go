@@ -64,14 +64,12 @@ func newDir(name string, now time.Time) *node {
 // relative to the home root; "/", "", "." and "foo/../bar" are handled by
 // cleaning, and any path that would climb above the root is rejected.
 type Home struct {
-	mu    sync.RWMutex
-	root  *node
-	used  int64
-	quota int64
-	clk   clock.Clock
+	mu   sync.RWMutex
+	root *node
+	used int64
+	clk  clock.Clock
 	// owner is the user this home belongs to; emit journals a mutation
-	// through the owning FS, and fs routes usage deltas to the accounting
-	// sink (both nil when the home is detached, e.g. in tests). All are set
+	// through the owning FS, and fs supplies the owner's quota. All are set
 	// once at construction, before the home is published.
 	owner string
 	emit  func(kind dataprovider.Kind, payload interface{})
@@ -82,22 +80,27 @@ type Home struct {
 type FS struct {
 	mu    sync.RWMutex
 	homes map[string]*Home
-	quota int64
-	// overrides holds per-user quota overrides set via SetQuota; absent
-	// users inherit quota. A negative override means unlimited.
-	overrides map[string]int64
-	clk       clock.Clock
-	journal   journalField
-	sink      sinkField
+	// quota reports a user's byte quota; a value <= 0 means unlimited.
+	quota   func(user string) int64
+	clk     clock.Clock
+	journal journalField
 }
 
-// New returns an FS creating homes with the given per-user byte quota.
+// New returns an FS that gives every user the same byte quota; 0 means
+// unlimited.
 func New(quota int64, clk clock.Clock) *FS {
 	if clk == nil {
 		clk = clock.Real{}
 	}
-	return &FS{homes: make(map[string]*Home), quota: quota, clk: clk}
+	return &FS{homes: make(map[string]*Home), quota: func(string) int64 { return quota }, clk: clk}
 }
+
+// SetQuotaFunc replaces the constant quota New set with a per-user lookup;
+// a result <= 0 means unlimited. The lookup runs on every write and copy,
+// so a changed quota applies to the next one. It runs with the home's lock
+// held: it must be cheap and must never call back into the filesystem.
+// Call it once, before the filesystem serves traffic.
+func (fs *FS) SetQuotaFunc(quota func(user string) int64) { fs.quota = quota }
 
 // EnsureHome returns the user's home, creating it on first use. The common
 // case — the home already exists — is served under the read lock, so
@@ -115,14 +118,7 @@ func (fs *FS) EnsureHome(user string) *Home {
 	if h, ok := fs.homes[user]; ok {
 		return h
 	}
-	quota := fs.quota
-	if override, ok := fs.overrides[user]; ok {
-		quota = override
-		if quota < 0 {
-			quota = 0 // 0 means unlimited inside a Home
-		}
-	}
-	h = &Home{root: newDir("/", fs.clk.Now()), quota: quota, clk: fs.clk, owner: user, emit: fs.emit, fs: fs}
+	h = &Home{root: newDir("/", fs.clk.Now()), clk: fs.clk, owner: user, emit: fs.emit, fs: fs}
 	fs.homes[user] = h
 	return h
 }
@@ -207,14 +203,6 @@ func (h *Home) Used() int64 {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	return h.used
-}
-
-// Quota reports the home's byte quota (0 means unlimited). Quotas are
-// mutable at runtime via FS.SetQuota, so the read is taken under the lock.
-func (h *Home) Quota() int64 {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.quota
 }
 
 // Mkdir creates a directory. Parent directories must already exist; use
@@ -303,9 +291,9 @@ func (h *Home) WriteFile(p string, data []byte) error {
 		}
 		old = int64(len(existing.data))
 	}
-	if h.quota > 0 && h.used-old+int64(len(data)) > h.quota {
+	if quota := h.fs.quota(h.owner); quota > 0 && h.used-old+int64(len(data)) > quota {
 		return fmt.Errorf("%w: writing %d bytes to %s (used %d of %d)",
-			ErrQuotaExceeded, len(data), cp, h.used, h.quota)
+			ErrQuotaExceeded, len(data), cp, h.used, quota)
 	}
 	now := h.clk.Now()
 	cp2 := make([]byte, len(data))
@@ -313,7 +301,6 @@ func (h *Home) WriteFile(p string, data []byte) error {
 	pn.children[base] = &node{name: base, data: cp2, modTime: now}
 	pn.modTime = now
 	h.used += int64(len(data)) - old
-	h.bill(int64(len(data)) - old)
 	h.note(dataprovider.KindVFSWrite, WriteRecord{User: h.owner, Path: cp, Data: cp2})
 	return nil
 }
@@ -437,9 +424,7 @@ func (h *Home) Remove(p string, recursive bool) error {
 	if n.dir && !recursive && len(n.children) > 0 {
 		return fmt.Errorf("%w: %s", ErrDirNotEmpty, cp)
 	}
-	freed := subtreeBytes(n)
-	h.used -= freed
-	h.bill(-freed)
+	h.used -= subtreeBytes(n)
 	delete(pn.children, base)
 	pn.modTime = h.clk.Now()
 	h.note(dataprovider.KindVFSRemove, RemoveRecord{User: h.owner, Path: cp, Recursive: recursive})
@@ -542,14 +527,13 @@ func (h *Home) Copy(src, dst string) error {
 		return fmt.Errorf("%w: %s", ErrExists, cd)
 	}
 	extra := subtreeBytes(n)
-	if h.quota > 0 && h.used+extra > h.quota {
-		return fmt.Errorf("%w: copying %d bytes (used %d of %d)", ErrQuotaExceeded, extra, h.used, h.quota)
+	if quota := h.fs.quota(h.owner); quota > 0 && h.used+extra > quota {
+		return fmt.Errorf("%w: copying %d bytes (used %d of %d)", ErrQuotaExceeded, extra, h.used, quota)
 	}
 	now := h.clk.Now()
 	dpn.children[db] = cloneNode(n, db, now)
 	dpn.modTime = now
 	h.used += extra
-	h.bill(extra)
 	h.note(dataprovider.KindVFSCopy, MoveRecord{User: h.owner, Src: cs, Dst: cd})
 	return nil
 }
