@@ -29,7 +29,7 @@ func main() {
 		logLevel   = flag.String("log", "info", "log level: debug, info, warn, error, off")
 		admin      = flag.String("admin", "", "bootstrap an admin account, as user:password")
 		dataDir    = flag.String("data-dir", "", "enable the durable data provider (WAL + snapshots) in this directory")
-		fsync      = flag.String("fsync", "", "WAL fsync policy override: always, interval or never")
+		fsync      = flag.String("fsync", "", "WAL fsync policy override: always or never")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060); empty disables")
 	)
 	flag.Parse()

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/dataprovider"
 	"repro/internal/ids"
 )
 
@@ -116,7 +117,7 @@ type Service struct {
 	clk      clock.Clock
 	ttl      time.Duration
 	tokens   *ids.Random
-	journal  journalField
+	journal  dataprovider.Sink
 }
 
 // NewService returns an auth service with the given session TTL.

@@ -16,11 +16,6 @@ type memJournal struct {
 	recs []dataprovider.Record
 }
 
-func (m *memJournal) Append(rec dataprovider.Record) error {
-	m.AppendAsync(rec)
-	return nil
-}
-
 func (m *memJournal) AppendAsync(rec dataprovider.Record) {
 	m.mu.Lock()
 	m.recs = append(m.recs, rec)

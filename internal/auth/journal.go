@@ -4,7 +4,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/dataprovider"
 )
@@ -14,40 +13,22 @@ import (
 // and a portal restart logging everyone out is the documented behavior, so
 // nothing here ever journals a session.
 
-// journalBox wraps the interface for one-atomic-load access on write paths.
-type journalBox struct{ j dataprovider.Journal }
-
 // SetJournal attaches the journal account mutations are recorded into; nil
 // detaches it. Every Register, ChangePassword, SetRole and Import emits the
 // account's full serialized Record (an upsert), so replay order alone
 // reconstructs the final account set.
-func (s *Service) SetJournal(j dataprovider.Journal) {
-	if j == nil {
-		s.journal.Store(nil)
-		return
-	}
-	s.journal.Store(&journalBox{j: j})
-}
+func (s *Service) SetJournal(j dataprovider.Journal) { s.journal.Attach(j) }
 
 // journalUser emits the account's current serialized form. Callers must not
-// hold s.mu (Append ordering is preserved by the provider's single queue).
+// hold s.mu (record order is preserved by the provider's single queue).
 func (s *Service) journalUser(u *User) {
-	box := s.journal.Load()
-	if box == nil {
-		return
-	}
-	rec := Record{
+	s.journal.Emit(dataprovider.KindUserPut, Record{
 		Name:    u.Name,
 		Role:    u.Role,
 		Salt:    hex.EncodeToString(u.salt),
 		Hash:    hex.EncodeToString(u.hash),
 		Created: u.Created,
-	}
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return // Record is our own struct; this cannot happen
-	}
-	box.j.AppendAsync(dataprovider.Record{Kind: dataprovider.KindUserPut, Data: data})
+	})
 }
 
 // ApplyRecord replays one journal record: an upsert of the serialized
@@ -70,6 +51,3 @@ func (s *Service) ApplyRecord(rec dataprovider.Record) error {
 	s.mu.Unlock()
 	return nil
 }
-
-// journalField is the service's journal holder.
-type journalField = atomic.Pointer[journalBox]

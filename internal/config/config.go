@@ -161,11 +161,8 @@ type Persistence struct {
 	Dir string `json:"dir"`
 	// Fsync is the WAL flush policy: "always" (fsync before every
 	// acknowledged write — group-committed, so one fsync covers a whole
-	// batch), "interval" (fsync at most every FsyncInterval), or "never"
-	// (leave flushing to the OS).
+	// batch) or "never" (leave flushing to the OS).
 	Fsync string `json:"fsync"`
-	// FsyncInterval is the flush period for the "interval" policy.
-	FsyncInterval Duration `json:"fsync_interval"`
 	// SnapshotInterval is how often a started system compacts the job
 	// history to JobRetention, in either mode; in durable mode each tick
 	// also folds the WAL into a fresh snapshot. Zero disables the periodic
@@ -237,7 +234,6 @@ func Default() Config {
 			Mode:             "memory",
 			Dir:              "data",
 			Fsync:            "always",
-			FsyncInterval:    Duration(100 * time.Millisecond),
 			SnapshotInterval: Duration(5 * time.Minute),
 			JobRetention:     10_000,
 		},
@@ -303,10 +299,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: fairness.default_weight must be >= 1, got %d", c.Fairness.DefaultWeight)
 	case c.Persistence.Mode != "memory" && c.Persistence.Mode != "durable":
 		return fmt.Errorf("config: persistence.mode must be \"memory\" or \"durable\", got %q", c.Persistence.Mode)
-	case c.Persistence.Fsync != "always" && c.Persistence.Fsync != "interval" && c.Persistence.Fsync != "never":
-		return fmt.Errorf("config: persistence.fsync must be \"always\", \"interval\" or \"never\", got %q", c.Persistence.Fsync)
-	case c.Persistence.Fsync == "interval" && c.Persistence.FsyncInterval <= 0:
-		return fmt.Errorf("config: persistence.fsync_interval must be positive for the interval policy")
+	case c.Persistence.Fsync != "always" && c.Persistence.Fsync != "never":
+		return fmt.Errorf("config: persistence.fsync must be \"always\" or \"never\", got %q", c.Persistence.Fsync)
 	case c.Persistence.SnapshotInterval < 0:
 		return fmt.Errorf("config: persistence.snapshot_interval must be non-negative")
 	case c.Persistence.Mode == "durable" && c.Persistence.Dir == "":

@@ -117,6 +117,27 @@ func TestReadRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestPersistenceFsyncPolicies pins the two WAL fsync policies: "interval"
+// is not one of them, and a file that still sets that policy's period is
+// refused for its unknown field.
+func TestPersistenceFsyncPolicies(t *testing.T) {
+	for _, policy := range []string{"always", "never"} {
+		c := Default()
+		c.Persistence.Fsync = policy
+		if err := c.Validate(); err != nil {
+			t.Errorf("fsync %q rejected: %v", policy, err)
+		}
+	}
+	c := Default()
+	c.Persistence.Fsync = "interval"
+	if err := c.Validate(); err == nil {
+		t.Error(`fsync "interval" passed validation`)
+	}
+	if _, err := Load(filepath.Join("testdata", "interval_policy.json")); err == nil {
+		t.Error("a file setting the interval policy's period was accepted")
+	}
+}
+
 func TestReadRejectsInvalid(t *testing.T) {
 	in := `{"cluster": {"segments": 0, "nodes_per_segment": 1, "cores_per_node": 1,
 		"cores_per_node_alt": 0, "memory_mb_per_node": 1, "gpu_nodes": 0}}`

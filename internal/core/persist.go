@@ -22,9 +22,8 @@ func buildProvider(cfg config.Config, reg *metrics.Registry) (dataprovider.Provi
 		return dataprovider.NewMemory(), nil
 	}
 	return dataprovider.NewDurable(cfg.Persistence.Dir, dataprovider.DurableOptions{
-		Fsync:         cfg.Persistence.Fsync,
-		FsyncInterval: cfg.Persistence.FsyncInterval.Std(),
-		Metrics:       reg,
+		Fsync:   cfg.Persistence.Fsync,
+		Metrics: reg,
 	})
 }
 

@@ -1,12 +1,14 @@
 // Package dataprovider owns persistence for the portal's control plane. The
-// three state-bearing subsystems — jobs, auth and the per-user VFS — emit
-// typed records into a Provider; the provider decides what durability means.
+// four state-bearing subsystems — jobs, auth, the per-user VFS and tenancy —
+// emit typed records through a Sink into a Provider; the provider decides
+// what durability means.
 //
 // Two providers ship:
 //
 //   - Memory: discards every record. This is the seed behavior — all state
-//     lives in the subsystems' in-memory structures — at zero cost: the
-//     subsystems skip journaling entirely when no journal is attached.
+//     lives in the subsystems' in-memory structures. Core attaches it like
+//     any provider, so in memory mode each record is still encoded and then
+//     dropped.
 //   - Durable: an append-only write-ahead log (length-prefixed, CRC-checked
 //     records) plus a periodic snapshot, both pure stdlib. Appends are
 //     group-committed: one fsync is amortized over every record that arrived
@@ -20,7 +22,11 @@
 // scheduler's hot path is unaffected by the durability mode.
 package dataprovider
 
-import "time"
+import (
+	"encoding/json"
+	"sync/atomic"
+	"time"
+)
 
 // Kind tags a record with the subsystem operation it encodes. The numeric
 // values are part of the on-disk WAL format and must never be reused.
@@ -56,8 +62,8 @@ const (
 	KindTenancyLimits Kind = 10
 	// KindTenancySteps records a user's cumulative VM step total as an
 	// absolute value (tenancy.StepsRecord); replay is monotonic, so records a
-	// snapshot already folded in are no-ops. Disk usage is never journaled —
-	// it is derived by replaying the VFS records through the usage sink.
+	// snapshot already folded in are no-ops. Disk usage is never journaled:
+	// the VFS recounts a home's bytes as its records replay.
 	KindTenancySteps Kind = 11
 )
 
@@ -68,19 +74,46 @@ type Record struct {
 	Data []byte
 }
 
-// Journal is the write side the subsystems hold. Implementations must be
-// safe for concurrent use.
+// Journal is the write side the subsystems hold, through a Sink.
+// Implementations must be safe for concurrent use.
 type Journal interface {
-	// Append records one operation and returns once it is durable under the
-	// provider's fsync policy. Use it when the caller is about to
-	// acknowledge the operation to a client.
-	Append(rec Record) error
 	// AppendAsync enqueues one operation without waiting for it to reach
-	// disk; the group committer flushes it with the next batch. This is the
-	// hot-path form: scheduler-driven state transitions use it so dispatch
-	// throughput never waits on storage. Call Sync to establish a
-	// durability barrier over everything enqueued so far.
+	// disk; the group committer writes it with the next batch, so no
+	// subsystem ever waits on storage. A caller about to acknowledge the
+	// operation to a client calls the provider's Sync afterwards: the
+	// barrier covers everything enqueued before it.
 	AppendAsync(rec Record)
+}
+
+// Sink is a subsystem's one path to a journal: an atomically swappable
+// Journal plus the record encoding. The zero value has no journal and drops
+// every record, which is what replay relies on — core attaches the journals
+// only after it, so replayed records are never re-journaled.
+type Sink struct {
+	j atomic.Pointer[Journal]
+}
+
+// Attach points the sink at j; nil detaches it.
+func (s *Sink) Attach(j Journal) {
+	if j == nil {
+		s.j.Store(nil)
+		return
+	}
+	s.j.Store(&j)
+}
+
+// Emit JSON-encodes payload and enqueues it as one record of the given kind.
+// Without an attached journal the record is dropped.
+func (s *Sink) Emit(kind Kind, payload any) {
+	j := s.j.Load()
+	if j == nil {
+		return
+	}
+	data, err := json.Marshal(payload)
+	if err != nil {
+		return // payloads are the subsystems' own structs; this cannot happen
+	}
+	(*j).AppendAsync(Record{Kind: kind, Data: data})
 }
 
 // Provider is a Journal plus the recovery and maintenance surface.
@@ -89,7 +122,9 @@ type Provider interface {
 	// Sync blocks until every record enqueued before the call is written
 	// out (and fsynced, under the "always" policy). The portal calls this
 	// after a mutating request succeeds and before the HTTP acknowledgment,
-	// so concurrent requests share one flush — the group-commit batch.
+	// so concurrent requests share one flush — the group-commit batch. Once
+	// a WAL write or fsync has failed, Sync and Snapshot return that error
+	// until a restart recovers the log's valid prefix.
 	Sync() error
 	// Snapshot captures a full-state image and truncates the WAL. The
 	// capture callback runs with appends quiesced, so the image plus the
@@ -99,12 +134,15 @@ type Provider interface {
 	// between snapshot rename and WAL truncate) must apply cleanly twice.
 	Snapshot(capture func() ([]byte, error)) error
 	// Load returns the latest snapshot image (nil if none) and the WAL
-	// records appended after it, stopping at the last valid record. It must
-	// be called before the first Append.
+	// records appended after it, stopping at the last valid record. It
+	// hands them out once: a later call returns nothing, so the provider
+	// does not keep recovery's state alive. Call it before the first
+	// AppendAsync.
 	Load() (snapshot []byte, records []Record, err error)
 	// Status reports the provider's identity and operational counters.
 	Status() Status
-	// Close flushes and releases the provider. Appends after Close fail.
+	// Close flushes and releases the provider. Records appended after Close
+	// are dropped.
 	Close() error
 }
 
@@ -133,16 +171,13 @@ type Status struct {
 	SnapshotBytes int64 `json:"snapshot_bytes"`
 }
 
-// Memory is the zero-cost provider: nothing is recorded, Load finds nothing.
+// Memory is the no-op provider: every record is dropped, Load finds nothing.
 // It exists so the wiring is uniform — a system always has a Provider — while
 // keeping the seed's pure in-memory behavior.
 type Memory struct{}
 
 // NewMemory returns the no-op provider.
 func NewMemory() *Memory { return &Memory{} }
-
-// Append discards the record.
-func (*Memory) Append(Record) error { return nil }
 
 // AppendAsync discards the record.
 func (*Memory) AppendAsync(Record) {}

@@ -17,15 +17,10 @@ import (
 
 // Fsync policies for the durable provider.
 const (
-	// FsyncAlways fsyncs every batch that carries a synchronously-appended
-	// record and every Sync barrier — acknowledged writes survive an OS
-	// crash. Group commit amortizes the fsync over every record that queued
-	// up behind the previous one.
+	// FsyncAlways fsyncs every batch that carries a Sync barrier —
+	// acknowledged writes survive an OS crash. Group commit amortizes the
+	// fsync over every record that queued up behind the previous one.
 	FsyncAlways = "always"
-	// FsyncInterval writes records immediately but fsyncs at most once per
-	// FsyncInterval — a bounded window of acknowledged writes can be lost
-	// to an OS crash, none to a process crash.
-	FsyncInterval = "interval"
 	// FsyncNever leaves flushing to the OS entirely.
 	FsyncNever = "never"
 )
@@ -101,22 +96,20 @@ func decodeFrames(data []byte) (recs []Record, validLen int) {
 
 // DurableOptions tune the durable provider.
 type DurableOptions struct {
-	// Fsync is the policy: FsyncAlways (default), FsyncInterval, FsyncNever.
+	// Fsync is the policy: FsyncAlways (default) or FsyncNever.
 	Fsync string
-	// FsyncInterval is the flush period under FsyncInterval; default 100ms.
-	FsyncInterval time.Duration
-	// BatchMax bounds records per group commit; default 512.
-	BatchMax int
 	// Metrics receives wal_append_seconds and snapshot_seconds histograms;
 	// nil disables instrumentation.
 	Metrics *metrics.Registry
 }
 
-// request is one unit of committer work: a record append (sync or async), a
-// bare Sync barrier, or a snapshot.
+// batchMax bounds the requests one group commit takes off the queue.
+const batchMax = 512
+
+// request is one unit of committer work: a record (rec), a Sync barrier
+// (done), or a snapshot (capture and done).
 type request struct {
 	rec     *Record
-	sync    bool
 	capture func() ([]byte, error)
 	done    chan error
 }
@@ -139,6 +132,12 @@ type Durable struct {
 	loadedSnap []byte
 	loadedRecs []Record
 
+	// Committer state, touched only by the commitLoop goroutine.
+	batch  []request
+	buf    bytes.Buffer
+	dirty  bool  // bytes written since the last fsync
+	failed error // the first WAL write, fsync, truncate or seek error
+
 	records   atomic.Int64
 	batches   atomic.Int64
 	fsyncs    atomic.Int64
@@ -159,24 +158,19 @@ func NewDurable(dir string, opts DurableOptions) (*Durable, error) {
 	switch opts.Fsync {
 	case "":
 		opts.Fsync = FsyncAlways
-	case FsyncAlways, FsyncInterval, FsyncNever:
+	case FsyncAlways, FsyncNever:
 	default:
 		return nil, fmt.Errorf("dataprovider: unknown fsync policy %q", opts.Fsync)
-	}
-	if opts.FsyncInterval <= 0 {
-		opts.FsyncInterval = 100 * time.Millisecond
-	}
-	if opts.BatchMax <= 0 {
-		opts.BatchMax = 512
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("dataprovider: %w", err)
 	}
 	d := &Durable{
-		dir:  dir,
-		opts: opts,
-		reqs: make(chan request, 1024),
-		stop: make(chan struct{}),
+		dir:   dir,
+		opts:  opts,
+		reqs:  make(chan request, 1024),
+		stop:  make(chan struct{}),
+		batch: make([]request, 0, batchMax),
 	}
 	if opts.Metrics != nil {
 		d.appendHist = opts.Metrics.Histogram("wal_append_seconds", nil)
@@ -223,9 +217,12 @@ func NewDurable(dir string, opts DurableOptions) (*Durable, error) {
 	return d, nil
 }
 
-// Load hands out the snapshot and post-snapshot records recovered at open.
+// Load hands out the snapshot and post-snapshot records recovered at open,
+// once: it drops its references so replay's inputs can be collected.
 func (d *Durable) Load() ([]byte, []Record, error) {
-	return d.loadedSnap, d.loadedRecs, nil
+	snap, recs := d.loadedSnap, d.loadedRecs
+	d.loadedSnap, d.loadedRecs = nil, nil
+	return snap, recs, nil
 }
 
 // send enqueues a request unless the provider is closed. The read lock is
@@ -243,25 +240,17 @@ func (d *Durable) send(req request) error {
 	return nil
 }
 
-// Append records rec and waits for it to be durable under the fsync policy.
-func (d *Durable) Append(rec Record) error {
-	done := make(chan error, 1)
-	if err := d.send(request{rec: &rec, sync: true, done: done}); err != nil {
-		return err
-	}
-	return <-done
-}
-
 // AppendAsync enqueues rec for the next group commit without waiting.
 func (d *Durable) AppendAsync(rec Record) {
 	d.send(request{rec: &rec}) //nolint:errcheck — closed provider drops the record by design
 }
 
 // Sync blocks until everything enqueued before it is written (and fsynced
-// under FsyncAlways).
+// under FsyncAlways). After the first failed write or fsync it returns that
+// error.
 func (d *Durable) Sync() error {
 	done := make(chan error, 1)
-	if err := d.send(request{sync: true, done: done}); err != nil {
+	if err := d.send(request{done: done}); err != nil {
 		return err
 	}
 	return <-done
@@ -310,125 +299,23 @@ func (d *Durable) Close() error {
 	return d.wal.Close()
 }
 
-// commitLoop is the single committer: it batches queued appends, writes each
-// batch with one write call, fsyncs per policy, then answers the waiters.
+// commitLoop is the single committer. It serves each request together with
+// the requests queued behind it; on Close it serves what was enqueued before
+// Close and flushes.
 func (d *Durable) commitLoop() {
 	defer d.wg.Done()
-	var (
-		buf       bytes.Buffer
-		dirty     bool        // bytes written since the last fsync
-		flushTick *time.Timer // pending interval flush, nil when idle
-	)
-	flushC := func() <-chan time.Time {
-		if flushTick == nil {
-			return nil
-		}
-		return flushTick.C
-	}
-	armFlush := func() {
-		if d.opts.Fsync == FsyncInterval && dirty && flushTick == nil {
-			flushTick = time.NewTimer(d.opts.FsyncInterval)
-		}
-	}
-	fsync := func() error {
-		err := d.wal.Sync()
-		if err == nil {
-			d.fsyncs.Add(1)
-			dirty = false
-		}
-		return err
-	}
-
-	// commit writes the batch and completes its waiters.
-	commit := func(batch []request) {
-		if len(batch) == 0 {
-			return
-		}
-		start := time.Now()
-		buf.Reset()
-		nrec, needSync := 0, false
-		for _, req := range batch {
-			if req.rec != nil {
-				appendFrame(&buf, *req.rec)
-				nrec++
-			}
-			if req.sync {
-				needSync = true
-			}
-		}
-		var err error
-		if buf.Len() > 0 {
-			_, err = d.wal.Write(buf.Bytes())
-			if err == nil {
-				d.walBytes.Add(int64(buf.Len()))
-				d.records.Add(int64(nrec))
-				d.batches.Add(1)
-				dirty = true
-			}
-		}
-		// FsyncAlways: only batches an acknowledger is waiting on pay the
-		// fsync; pure-async batches (scheduler transitions) stay buffered
-		// until the next barrier. The barrier then covers them too — Sync's
-		// contract is "everything enqueued before me".
-		if err == nil && dirty && needSync && d.opts.Fsync == FsyncAlways {
-			err = fsync()
-		}
-		armFlush()
-		for _, req := range batch {
-			if req.done != nil {
-				req.done <- err
-			}
-		}
-		if d.appendHist != nil && nrec > 0 {
-			d.appendHist.Observe(time.Since(start).Seconds())
-		}
-	}
-
-	batch := make([]request, 0, d.opts.BatchMax)
 	for {
 		select {
 		case req := <-d.reqs:
-			if req.capture != nil {
-				req.done <- d.doSnapshot(req.capture, fsync)
-				continue
-			}
-			batch = append(batch[:0], req)
-			// Group commit: everything already queued joins this batch.
-		drain:
-			for len(batch) < d.opts.BatchMax {
-				select {
-				case more := <-d.reqs:
-					if more.capture != nil {
-						commit(batch)
-						batch = batch[:0]
-						more.done <- d.doSnapshot(more.capture, fsync)
-						continue
-					}
-					batch = append(batch, more)
-				default:
-					break drain
-				}
-			}
-			commit(batch)
-		case <-flushC():
-			flushTick = nil
-			fsync() //nolint:errcheck — retried on the next dirty batch
+			d.serve(req)
 		case <-d.stop:
-			// Drain whatever was enqueued before Close, then flush.
 			for {
 				select {
 				case req := <-d.reqs:
-					if req.capture != nil {
-						req.done <- d.doSnapshot(req.capture, fsync)
-						continue
-					}
-					commit([]request{req})
+					d.serve(req)
 				default:
-					if dirty && d.opts.Fsync != FsyncNever {
-						fsync() //nolint:errcheck — closing anyway
-					}
-					if flushTick != nil {
-						flushTick.Stop()
+					if d.failed == nil && d.dirty && d.opts.Fsync == FsyncAlways {
+						d.syncWAL()
 					}
 					return
 				}
@@ -437,9 +324,95 @@ func (d *Durable) commitLoop() {
 	}
 }
 
+// serve is group commit: req and the requests already queued behind it form
+// one batch, which ends at batchMax requests, at an empty queue or at a
+// snapshot request. The batch is committed, then the snapshot that ended it,
+// if any, runs.
+func (d *Durable) serve(req request) {
+	batch := d.batch[:0]
+	for req.capture == nil {
+		batch = append(batch, req)
+		if len(batch) < batchMax {
+			select {
+			case req = <-d.reqs:
+				continue
+			default:
+			}
+		}
+		break
+	}
+	d.commit(batch)
+	if req.capture != nil {
+		req.done <- d.doSnapshot(req.capture)
+	}
+}
+
+// commit writes the batch's records with one write call, fsyncs them under
+// FsyncAlways when a barrier waits on the batch, and answers the barriers.
+// The first failure latches: from then on nothing is written, so no later
+// batch can land behind a torn frame, and every barrier gets the error.
+func (d *Durable) commit(batch []request) {
+	if len(batch) == 0 {
+		return
+	}
+	start := time.Now()
+	d.buf.Reset()
+	nrec, barrier := 0, false
+	for _, req := range batch {
+		if req.rec == nil {
+			barrier = true
+			continue
+		}
+		appendFrame(&d.buf, *req.rec)
+		nrec++
+	}
+	if d.failed == nil && nrec > 0 {
+		if _, err := d.wal.Write(d.buf.Bytes()); err != nil {
+			d.failed = fmt.Errorf("dataprovider: writing WAL: %w", err)
+		} else {
+			d.walBytes.Add(int64(d.buf.Len()))
+			d.records.Add(int64(nrec))
+			d.batches.Add(1)
+			d.dirty = true
+		}
+	}
+	// FsyncAlways: only batches an acknowledger is waiting on pay the fsync;
+	// pure-async batches (scheduler transitions) stay buffered until the
+	// next barrier. The barrier then covers them too — Sync's contract is
+	// "everything enqueued before me".
+	if d.failed == nil && d.dirty && barrier && d.opts.Fsync == FsyncAlways {
+		d.syncWAL()
+	}
+	for _, req := range batch {
+		if req.done != nil {
+			req.done <- d.failed
+		}
+	}
+	if d.appendHist != nil && nrec > 0 {
+		d.appendHist.Observe(time.Since(start).Seconds())
+	}
+}
+
+// syncWAL fsyncs the WAL. A failure latches and is never retried: after a
+// failed fsync the kernel may drop the dirty pages and report the next
+// fsync clean.
+func (d *Durable) syncWAL() {
+	if err := d.wal.Sync(); err != nil {
+		d.failed = fmt.Errorf("dataprovider: syncing WAL: %w", err)
+		return
+	}
+	d.fsyncs.Add(1)
+	d.dirty = false
+}
+
 // doSnapshot runs in the committer goroutine, so appends are quiesced while
-// the capture and the file shuffle happen.
-func (d *Durable) doSnapshot(capture func() ([]byte, error), fsync func() error) error {
+// the capture and the file shuffle happen. A failed provider takes no
+// snapshot. Errors before the WAL is truncated leave the provider sound;
+// a WAL truncate, seek or fsync error latches.
+func (d *Durable) doSnapshot(capture func() ([]byte, error)) error {
+	if d.failed != nil {
+		return d.failed
+	}
 	start := time.Now()
 	state, err := capture()
 	if err != nil {
@@ -471,13 +444,15 @@ func (d *Durable) doSnapshot(capture func() ([]byte, error), fsync func() error)
 	// A crash here leaves the old WAL alongside the new snapshot; replay is
 	// idempotent, so applying those already-folded records twice is safe.
 	if err := d.wal.Truncate(0); err != nil {
-		return fmt.Errorf("dataprovider: truncating WAL: %w", err)
+		d.failed = fmt.Errorf("dataprovider: truncating WAL: %w", err)
+		return d.failed
 	}
 	if _, err := d.wal.Seek(0, 0); err != nil {
-		return fmt.Errorf("dataprovider: %w", err)
+		d.failed = fmt.Errorf("dataprovider: seeking WAL: %w", err)
+		return d.failed
 	}
-	if d.opts.Fsync != FsyncNever {
-		fsync() //nolint:errcheck — the snapshot file itself is already synced
+	if d.opts.Fsync == FsyncAlways {
+		d.syncWAL()
 	}
 	d.walBytes.Store(0)
 	d.snapBytes.Store(int64(len(state)))
@@ -486,5 +461,5 @@ func (d *Durable) doSnapshot(capture func() ([]byte, error), fsync func() error)
 	if d.snapHist != nil {
 		d.snapHist.Observe(time.Since(start).Seconds())
 	}
-	return nil
+	return d.failed
 }

@@ -110,6 +110,13 @@ func FuzzDecodeFrames(f *testing.F) {
 	})
 }
 
+// appendSync appends rec and waits on a Sync barrier: the path a handler
+// takes before it acknowledges a write.
+func appendSync(d *Durable, r Record) error {
+	d.AppendAsync(r)
+	return d.Sync()
+}
+
 func openDurable(t *testing.T, dir string, opts DurableOptions) *Durable {
 	t.Helper()
 	d, err := NewDurable(dir, opts)
@@ -124,7 +131,7 @@ func TestDurableAppendAndReload(t *testing.T) {
 	dir := t.TempDir()
 	d := openDurable(t, dir, DurableOptions{Fsync: FsyncNever})
 	for i := 0; i < 10; i++ {
-		if err := d.Append(rec(KindUserPut, fmt.Sprintf("user-%d", i))); err != nil {
+		if err := appendSync(d, rec(KindUserPut, fmt.Sprintf("user-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -151,7 +158,7 @@ func TestDurableAppendAndReload(t *testing.T) {
 func TestDurableTruncatesTornTailOnOpen(t *testing.T) {
 	dir := t.TempDir()
 	d := openDurable(t, dir, DurableOptions{Fsync: FsyncNever})
-	if err := d.Append(rec(KindJobSubmit, "kept")); err != nil {
+	if err := appendSync(d, rec(KindJobSubmit, "kept")); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Close(); err != nil {
@@ -174,7 +181,7 @@ func TestDurableTruncatesTornTailOnOpen(t *testing.T) {
 		t.Fatalf("recovered %v, want the one valid record", recs)
 	}
 	// New appends must extend the now-clean log.
-	if err := d2.Append(rec(KindJobSubmit, "after")); err != nil {
+	if err := appendSync(d2, rec(KindJobSubmit, "after")); err != nil {
 		t.Fatal(err)
 	}
 	if err := d2.Close(); err != nil {
@@ -197,7 +204,7 @@ func TestDurableGroupCommit(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				if err := d.Append(rec(KindUserPut, fmt.Sprintf("w%d-%d", w, i))); err != nil {
+				if err := appendSync(d, rec(KindUserPut, fmt.Sprintf("w%d-%d", w, i))); err != nil {
 					t.Error(err)
 					return
 				}
@@ -246,7 +253,7 @@ func TestDurableSnapshotTruncatesWAL(t *testing.T) {
 	dir := t.TempDir()
 	d := openDurable(t, dir, DurableOptions{Fsync: FsyncNever})
 	for i := 0; i < 5; i++ {
-		if err := d.Append(rec(KindUserPut, "x")); err != nil {
+		if err := appendSync(d, rec(KindUserPut, "x")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -265,7 +272,7 @@ func TestDurableSnapshotTruncatesWAL(t *testing.T) {
 		t.Error("LastSnapshot not set")
 	}
 	// Records after the snapshot land in the fresh WAL.
-	if err := d.Append(rec(KindUserPut, "post")); err != nil {
+	if err := appendSync(d, rec(KindUserPut, "post")); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Close(); err != nil {
@@ -284,20 +291,24 @@ func TestDurableSnapshotTruncatesWAL(t *testing.T) {
 func TestDurableSnapshotCaptureFailureKeepsWAL(t *testing.T) {
 	dir := t.TempDir()
 	d := openDurable(t, dir, DurableOptions{Fsync: FsyncNever})
-	if err := d.Append(rec(KindUserPut, "keep me")); err != nil {
+	if err := appendSync(d, rec(KindUserPut, "keep me")); err != nil {
 		t.Fatal(err)
 	}
 	wantErr := fmt.Errorf("capture exploded")
 	if err := d.Snapshot(func() ([]byte, error) { return nil, wantErr }); err == nil {
 		t.Fatal("snapshot succeeded despite capture failure")
 	}
+	// The WAL was never touched, so a failed capture must not latch.
+	if err := appendSync(d, rec(KindUserPut, "after")); err != nil {
+		t.Fatalf("append after a failed capture: %v", err)
+	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
 	d2 := openDurable(t, dir, DurableOptions{Fsync: FsyncNever})
 	_, recs, _ := d2.Load()
-	if len(recs) != 1 {
-		t.Fatalf("WAL lost records after failed snapshot: %d, want 1", len(recs))
+	if len(recs) != 2 {
+		t.Fatalf("WAL lost records after failed snapshot: %d, want 2", len(recs))
 	}
 }
 
@@ -313,9 +324,6 @@ func TestDurableClose(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Errorf("second Close: %v", err)
 	}
-	if err := d.Append(rec(KindUserPut, "late")); err != ErrClosed {
-		t.Errorf("Append after Close = %v, want ErrClosed", err)
-	}
 	if err := d.Sync(); err != ErrClosed {
 		t.Errorf("Sync after Close = %v, want ErrClosed", err)
 	}
@@ -328,15 +336,51 @@ func TestDurableRejectsBadFsyncPolicy(t *testing.T) {
 	}
 }
 
-func TestDurableFsyncIntervalMode(t *testing.T) {
-	dir := t.TempDir()
-	d := openDurable(t, dir, DurableOptions{Fsync: FsyncInterval, FsyncInterval: time.Millisecond})
-	for i := 0; i < 20; i++ {
-		if err := d.Append(rec(KindUserPut, "x")); err != nil {
-			t.Fatal(err)
+// TestDurableFailedWriteFailsLaterBarriers pins the fail-stop latch: once a
+// batch of async records fails to reach the WAL, no later barrier may
+// acknowledge anything, even a barrier whose own batch writes nothing.
+func TestDurableFailedWriteFailsLaterBarriers(t *testing.T) {
+	d := openDurable(t, t.TempDir(), DurableOptions{Fsync: FsyncAlways})
+	d.wal.Close() // every later write to the log fails
+	d.AppendAsync(rec(KindJobTransition, "lost"))
+	// Let the committer take the record in a batch of its own, with no
+	// waiter to tell. Should a Sync join that batch instead, it fails all
+	// the same, so the wait cannot make the test flaky.
+	time.Sleep(50 * time.Millisecond)
+	for i := 0; i < 2; i++ {
+		if err := d.Sync(); err == nil {
+			t.Fatalf("Sync %d acknowledged a record the WAL lost", i+1)
 		}
 	}
-	if got := d.Status().WALRecords; got != 20 {
-		t.Fatalf("WALRecords = %d, want 20", got)
+	captured := false
+	err := d.Snapshot(func() ([]byte, error) { captured = true; return []byte("{}"), nil })
+	if err == nil || captured {
+		t.Fatalf("Snapshot on a failed provider: err %v, captured %v; want an error and no capture", err, captured)
+	}
+	if got := d.Status().WALRecords; got != 0 {
+		t.Errorf("WALRecords = %d, want 0", got)
+	}
+}
+
+// TestDurableLoadHandsOutOnce checks that the provider drops recovery's
+// snapshot image and records once it has handed them out.
+func TestDurableLoadHandsOutOnce(t *testing.T) {
+	dir := t.TempDir()
+	d := openDurable(t, dir, DurableOptions{Fsync: FsyncNever})
+	if err := d.Snapshot(func() ([]byte, error) { return []byte(`{"version":3}`), nil }); err != nil {
+		t.Fatal(err)
+	}
+	if err := appendSync(d, rec(KindUserPut, "alice")); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d2 := openDurable(t, dir, DurableOptions{Fsync: FsyncNever})
+	if snap, recs, _ := d2.Load(); len(snap) == 0 || len(recs) != 1 {
+		t.Fatalf("first Load: %d snapshot bytes, %d records; want both", len(snap), len(recs))
+	}
+	if snap, recs, _ := d2.Load(); snap != nil || recs != nil {
+		t.Fatalf("second Load: %d snapshot bytes, %d records; want none", len(snap), len(recs))
 	}
 }

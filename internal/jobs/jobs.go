@@ -280,7 +280,7 @@ type Store struct {
 
 	// journal, when attached, receives a record for every submission and
 	// transition (see journal.go). One atomic load on the hot paths.
-	journal journalField
+	journal dataprovider.Sink
 
 	feed feed
 	// stint holds, per non-terminal state, the histogram of time spent in
@@ -483,7 +483,7 @@ func (s *Store) Submit(spec Spec) (*Job, error) {
 	s.pos[j.ID] = len(s.order)
 	s.order = append(s.order, j)
 	s.listMu.Unlock()
-	s.emit(dataprovider.KindJobSubmit, SubmitRecord{ID: j.ID, Spec: spec, Submitted: j.submitted})
+	s.journal.Emit(dataprovider.KindJobSubmit, SubmitRecord{ID: j.ID, Spec: spec, Submitted: j.submitted})
 	j.step.Unlock()
 	s.queueMu.Lock()
 	s.queue = append(s.queue, j)
@@ -604,7 +604,7 @@ func (s *Store) transition(id string, next State, failure string, now time.Time,
 	// The journal append can block on a full commit queue while a snapshot
 	// capture reads every job under its mu, so it runs under step alone.
 	if live {
-		s.emit(dataprovider.KindJobTransition, TransitionRecord{
+		s.journal.Emit(dataprovider.KindJobTransition, TransitionRecord{
 			ID: id, State: next.String(), Failure: failure, Time: now,
 		})
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/dataprovider"
@@ -50,33 +49,11 @@ type PersistedJob struct {
 	Failure   string    `json:"failure,omitempty"`
 }
 
-// journalBox wraps the interface so the hot paths can load it with one
-// atomic pointer read instead of a lock.
-type journalBox struct{ j dataprovider.Journal }
-
 // SetJournal attaches the journal new submissions and transitions are
-// recorded into; nil detaches it (the memory-provider configuration).
-// Records are enqueued asynchronously — callers that need durability before
-// acknowledging call Sync on the provider.
-func (s *Store) SetJournal(j dataprovider.Journal) {
-	if j == nil {
-		s.journal.Store(nil)
-		return
-	}
-	s.journal.Store(&journalBox{j: j})
-}
-
-func (s *Store) emit(kind dataprovider.Kind, payload interface{}) {
-	box := s.journal.Load()
-	if box == nil {
-		return
-	}
-	data, err := json.Marshal(payload)
-	if err != nil {
-		return // payloads are our own structs; this cannot happen
-	}
-	box.j.AppendAsync(dataprovider.Record{Kind: kind, Data: data})
-}
+// recorded into; nil detaches it. Records are enqueued asynchronously —
+// callers that need durability before acknowledging call Sync on the
+// provider.
+func (s *Store) SetJournal(j dataprovider.Journal) { s.journal.Attach(j) }
 
 // Export serializes every job, oldest first, in the stable persisted form.
 func (s *Store) Export() []PersistedJob {
@@ -171,7 +148,7 @@ func (s *Store) restoreOne(pj PersistedJob, journal bool) error {
 	s.order = append(s.order, j)
 	s.listMu.Unlock()
 	if journal {
-		s.emit(dataprovider.KindJobRestore, pj)
+		s.journal.Emit(dataprovider.KindJobRestore, pj)
 	}
 	j.step.Unlock()
 	if st == StateQueued {
@@ -315,7 +292,3 @@ func (s *Store) Compact(keepTerminal int) int {
 	}
 	return len(dropped)
 }
-
-// journalField is the store's journal holder; declared here to keep every
-// persistence concern in one file.
-type journalField = atomic.Pointer[journalBox]

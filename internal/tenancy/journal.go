@@ -3,7 +3,6 @@ package tenancy
 import (
 	"encoding/json"
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/dataprovider"
 )
@@ -34,39 +33,9 @@ type Record struct {
 	Steps  int64  `json:"steps,omitempty"`
 }
 
-type journalBox struct{ j dataprovider.Journal }
-
-type journalField = atomic.Pointer[journalBox]
-
 // SetJournal attaches the journal limit changes and step charges are
 // recorded into; nil detaches it.
-func (a *Accountant) SetJournal(j dataprovider.Journal) {
-	if j == nil {
-		a.journal.Store(nil)
-		return
-	}
-	a.journal.Store(&journalBox{j: j})
-}
-
-func (a *Accountant) emit(kind dataprovider.Kind, payload interface{}) {
-	box := a.journal.Load()
-	if box == nil {
-		return
-	}
-	data, err := json.Marshal(payload)
-	if err != nil {
-		return // payloads are our own structs; this cannot happen
-	}
-	box.j.AppendAsync(dataprovider.Record{Kind: kind, Data: data})
-}
-
-func (a *Accountant) journalLimits(user string, l Limits) {
-	a.emit(dataprovider.KindTenancyLimits, LimitsRecord{User: user, Limits: l})
-}
-
-func (a *Accountant) journalSteps(user string, total int64) {
-	a.emit(dataprovider.KindTenancySteps, StepsRecord{User: user, Steps: total})
-}
+func (a *Accountant) SetJournal(j dataprovider.Journal) { a.journal.Attach(j) }
 
 // ApplyRecord replays one journal record. Limits apply as an upsert; step
 // records restore the absolute total but never move it backwards, so a

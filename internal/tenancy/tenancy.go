@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/dataprovider"
 )
 
 // Errors the admission paths return. The portal maps them onto the error
@@ -87,7 +88,7 @@ type Accountant struct {
 	clk      clock.Clock
 
 	// journal receives a record for every limits change and step charge.
-	journal journalField
+	journal dataprovider.Sink
 }
 
 // New returns an Accountant with the given deployment defaults. In defaults,
@@ -221,7 +222,7 @@ func (a *Accountant) SetLimits(user string, l Limits) Limits {
 		ac.tokens = float64(eff.Burst)
 	}
 	ac.mu.Unlock()
-	a.journalLimits(user, l)
+	a.journal.Emit(dataprovider.KindTenancyLimits, LimitsRecord{User: user, Limits: l})
 	return eff
 }
 
@@ -237,7 +238,7 @@ func (a *Accountant) ChargeSteps(user string, n int64) {
 	ac.steps += n
 	total := ac.steps
 	ac.mu.Unlock()
-	a.journalSteps(user, total)
+	a.journal.Emit(dataprovider.KindTenancySteps, StepsRecord{User: user, Steps: total})
 }
 
 // Steps returns the user's cumulative charged VM steps.

@@ -124,14 +124,11 @@ type memJournal struct {
 	recs []dataprovider.Record
 }
 
-func (m *memJournal) Append(rec dataprovider.Record) error {
+func (m *memJournal) AppendAsync(rec dataprovider.Record) {
 	m.mu.Lock()
 	m.recs = append(m.recs, rec)
 	m.mu.Unlock()
-	return nil
 }
-
-func (m *memJournal) AppendAsync(rec dataprovider.Record) { m.Append(rec) }
 
 func TestJournalRoundTrip(t *testing.T) {
 	j := &memJournal{}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/dataprovider"
 )
@@ -46,31 +45,10 @@ type MoveRecord struct {
 	Dst  string `json:"dst"`
 }
 
-// journalBox wraps the interface for one-atomic-load access on write paths.
-type journalBox struct{ j dataprovider.Journal }
-
 // SetJournal attaches the journal mutations are recorded into; nil detaches
 // it. Homes created before or after attachment both observe the current
-// journal — the hook reads it through one atomic pointer per mutation.
-func (fs *FS) SetJournal(j dataprovider.Journal) {
-	if j == nil {
-		fs.journal.Store(nil)
-		return
-	}
-	fs.journal.Store(&journalBox{j: j})
-}
-
-func (fs *FS) emit(kind dataprovider.Kind, payload interface{}) {
-	box := fs.journal.Load()
-	if box == nil {
-		return
-	}
-	data, err := json.Marshal(payload)
-	if err != nil {
-		return // payloads are our own structs; this cannot happen
-	}
-	box.j.AppendAsync(dataprovider.Record{Kind: kind, Data: data})
-}
+// journal — their emit hook is the filesystem's one sink.
+func (fs *FS) SetJournal(j dataprovider.Journal) { fs.journal.Attach(j) }
 
 // ApplyRecord replays one journal record into the filesystem. Replay is
 // tolerant of the snapshot-overlap window: a record whose effect the
@@ -139,16 +117,3 @@ func tolerableReplay(err error) bool {
 	}
 	return false
 }
-
-// note journals one mutation. It runs with h.mu held, deliberately: the
-// record order in the journal then matches the order mutations were applied
-// in, which replay depends on. AppendAsync only enqueues (the committer
-// goroutine does the IO), so the lock is never held across a disk write.
-func (h *Home) note(kind dataprovider.Kind, payload interface{}) {
-	if h.emit != nil {
-		h.emit(kind, payload)
-	}
-}
-
-// journalField is the filesystem's journal holder.
-type journalField = atomic.Pointer[journalBox]

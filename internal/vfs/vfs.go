@@ -69,10 +69,15 @@ type Home struct {
 	used int64
 	clk  clock.Clock
 	// owner is the user this home belongs to; emit journals a mutation
-	// through the owning FS, and fs supplies the owner's quota. All are set
-	// once at construction, before the home is published.
+	// through the owning FS's sink, and fs supplies the owner's quota. All
+	// are set once at construction, before the home is published.
+	//
+	// Mutations call emit with h.mu held, deliberately: the record order in
+	// the journal then matches the order mutations were applied in, which
+	// replay depends on. The sink only enqueues (the committer goroutine
+	// does the IO), so the lock is never held across a disk write.
 	owner string
-	emit  func(kind dataprovider.Kind, payload interface{})
+	emit  func(kind dataprovider.Kind, payload any)
 	fs    *FS
 }
 
@@ -83,7 +88,7 @@ type FS struct {
 	// quota reports a user's byte quota; a value <= 0 means unlimited.
 	quota   func(user string) int64
 	clk     clock.Clock
-	journal journalField
+	journal dataprovider.Sink
 }
 
 // New returns an FS that gives every user the same byte quota; 0 means
@@ -118,7 +123,7 @@ func (fs *FS) EnsureHome(user string) *Home {
 	if h, ok := fs.homes[user]; ok {
 		return h
 	}
-	h = &Home{root: newDir("/", fs.clk.Now()), clk: fs.clk, owner: user, emit: fs.emit, fs: fs}
+	h = &Home{root: newDir("/", fs.clk.Now()), clk: fs.clk, owner: user, emit: fs.journal.Emit, fs: fs}
 	fs.homes[user] = h
 	return h
 }
@@ -231,7 +236,7 @@ func (h *Home) Mkdir(p string) error {
 	now := h.clk.Now()
 	pn.children[base] = newDir(base, now)
 	pn.modTime = now
-	h.note(dataprovider.KindVFSMkdir, MkdirRecord{User: h.owner, Path: cp})
+	h.emit(dataprovider.KindVFSMkdir, MkdirRecord{User: h.owner, Path: cp})
 	return nil
 }
 
@@ -260,7 +265,7 @@ func (h *Home) MkdirAll(p string) error {
 		}
 		cur = next
 	}
-	h.note(dataprovider.KindVFSMkdir, MkdirRecord{User: h.owner, Path: cp, All: true})
+	h.emit(dataprovider.KindVFSMkdir, MkdirRecord{User: h.owner, Path: cp, All: true})
 	return nil
 }
 
@@ -301,7 +306,7 @@ func (h *Home) WriteFile(p string, data []byte) error {
 	pn.children[base] = &node{name: base, data: cp2, modTime: now}
 	pn.modTime = now
 	h.used += int64(len(data)) - old
-	h.note(dataprovider.KindVFSWrite, WriteRecord{User: h.owner, Path: cp, Data: cp2})
+	h.emit(dataprovider.KindVFSWrite, WriteRecord{User: h.owner, Path: cp, Data: cp2})
 	return nil
 }
 
@@ -427,7 +432,7 @@ func (h *Home) Remove(p string, recursive bool) error {
 	h.used -= subtreeBytes(n)
 	delete(pn.children, base)
 	pn.modTime = h.clk.Now()
-	h.note(dataprovider.KindVFSRemove, RemoveRecord{User: h.owner, Path: cp, Recursive: recursive})
+	h.emit(dataprovider.KindVFSRemove, RemoveRecord{User: h.owner, Path: cp, Recursive: recursive})
 	return nil
 }
 
@@ -488,7 +493,7 @@ func (h *Home) Rename(src, dst string) error {
 	dpn.children[db] = n
 	spn.modTime = now
 	dpn.modTime = now
-	h.note(dataprovider.KindVFSRename, MoveRecord{User: h.owner, Src: cs, Dst: cd})
+	h.emit(dataprovider.KindVFSRename, MoveRecord{User: h.owner, Src: cs, Dst: cd})
 	return nil
 }
 
@@ -534,7 +539,7 @@ func (h *Home) Copy(src, dst string) error {
 	dpn.children[db] = cloneNode(n, db, now)
 	dpn.modTime = now
 	h.used += extra
-	h.note(dataprovider.KindVFSCopy, MoveRecord{User: h.owner, Src: cs, Dst: cd})
+	h.emit(dataprovider.KindVFSCopy, MoveRecord{User: h.owner, Src: cs, Dst: cd})
 	return nil
 }
 
