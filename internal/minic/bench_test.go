@@ -6,7 +6,8 @@ import (
 
 // The VM microbenchmarks behind `make bench-vm`. Each compiles once and
 // measures execution only; BenchmarkVMSteadyState reuses one Machine across
-// iterations to show the pooled-frame steady state allocates nothing.
+// iterations to show the pooled-frame steady state allocates nothing, which
+// TestVMSteadyStateZeroAlloc gates.
 
 func compileBench(b *testing.B, src string) *Unit {
 	b.Helper()
@@ -24,6 +25,41 @@ func main() {
 		total = total + i;
 	}
 	return total;
+}`
+
+// floatLoopSrc is the midpoint rule for pi without the histogram: float
+// arithmetic and float(i) only, so its steady state allocates nothing.
+const floatLoopSrc = `
+func main() {
+	var n = 10000;
+	var h = 1.0 / float(n);
+	var sum = 0.0;
+	for (var i = 0; i < n; i = i + 1) {
+		var x = (float(i) + 0.5) * h;
+		sum = sum + 4.0 / (1.0 + x * x);
+	}
+	return sum * h;
+}`
+
+// floatKernelSrc is one rank's share of the mpi-lab job: the midpoint rule
+// for pi with a 64-bin histogram of its terms, so float arithmetic, a
+// non-blocking builtin and array updates make up the inner loop.
+const floatKernelSrc = `
+func main() {
+	var n = 20000;
+	var bins = 64;
+	var h = 1.0 / float(n);
+	var hist = array(bins);
+	for (var k = 0; k < bins; k = k + 1) { hist[k] = 0.0; }
+	var local = 0.0;
+	for (var i = 0; i < n; i = i + 1) {
+		var x = (float(i) + 0.5) * h;
+		var f = 4.0 / (1.0 + x * x);
+		local = local + f;
+		var k = i * bins / n;
+		hist[k] = hist[k] + f;
+	}
+	return local * h;
 }`
 
 func BenchmarkVMTightLoop(b *testing.B) {
@@ -53,6 +89,49 @@ func BenchmarkVMSteadyState(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+func TestVMSteadyStateZeroAlloc(t *testing.T) {
+	for _, tc := range []struct{ name, src string }{
+		{"int", tightLoopSrc},
+		{"float", floatLoopSrc},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			u, err := CompileSource(tc.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := NewMachine(u, MachineConfig{StepBudget: 1 << 60})
+			if _, err := m.Run(); err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(50, func() {
+				if _, err := m.Run(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("steady-state Run allocates %v times per run, want 0", allocs)
+			}
+		})
+	}
+}
+
+// BenchmarkVMFloatKernel reports ns/step, the interpreter's cost per
+// instruction on float code, next to the per-run ns/op.
+func BenchmarkVMFloatKernel(b *testing.B) {
+	u := compileBench(b, floatKernelSrc)
+	var steps int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := NewMachine(u, MachineConfig{StepBudget: 1 << 40})
+		if _, err := m.Run(); err != nil {
+			b.Fatal(err)
+		}
+		steps += m.Steps()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
 }
 
 func BenchmarkVMRecursiveCall(b *testing.B) {

@@ -2,6 +2,7 @@ package minic
 
 import (
 	"fmt"
+	"math"
 )
 
 // OpCode is a VM instruction opcode.
@@ -314,7 +315,8 @@ func sameConst(a, b Value) bool {
 	case KindInt, KindBool:
 		return a.I == b.I
 	case KindFloat:
-		return a.F == b.F
+		// By bits: == would merge 0.0 and -0.0 into one constant.
+		return math.Float64bits(a.F) == math.Float64bits(b.F)
 	case KindString:
 		return a.S == b.S
 	default:

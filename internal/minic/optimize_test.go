@@ -300,6 +300,40 @@ func main() {
 	var a = array(3);
 	println(a[5]);
 }`},
+	{name: "large-int-order", src: `
+func main() {
+	var a = 9007199254740993;
+	var b = 9007199254740992;
+	println(9007199254740993 > 9007199254740992, 9007199254740993 <= 9007199254740992);
+	println(a > b, a >= b, a < b, a <= b, a == b, a != b, a > 9007199254740992);
+	println(max(a, b), min(a, b), a - b, a + 0.0 > b);
+}`},
+	{name: "float-arith", src: `
+func main() {
+	var a = 7.5;
+	var b = -2.0;
+	var i = 3;
+	var big = 1.0;
+	for (var k = 0; k < 400; k = k + 1) { big = big * 10.0; }
+	var nan = big - big;
+	var nz = 0.0 * -1.0;
+	var z = 0.0;
+	println(a + b, a - b, a * b, a / b, i + b, i * a, a / i, b - i);
+	println(a == b, a != b, a < b, a <= b, a > b, a >= b, i == a, i < a);
+	println(a + 2.0, a - 2, a * 0.5, a / 4, i / 2.0, i - 0.5, 0.1 + 0.2);
+	println(a == 7.5, a != 7, a < 8, a <= 7.5, a > 7, a >= 8.0, i > 2.5, i <= 3.0);
+	println((a + 0.0) + (b * 1.0), (a * 1.0) - b, (a - 0.0) * b, (a + 0.0) / (b + 0.0), (i + 0) * (a + 0.0));
+	println((a + 0.0) == b, (a + 0.0) != b, (a + 0.0) < b, (a + 0.0) <= b, (a + 0.0) > b, (a + 0.0) >= b);
+	println(big, -big, big + 1, 1.0 / big, big * 0.0, nz, -0.0, nz == z, 1 / -big);
+	println(nan, nan == nan, nan != nan, nan < 1.0, nan <= 1.0, nan > 1.0, nan >= 1.0, 1.0 > nan);
+	println(a / z);
+}`},
+	{name: "float-modulo", src: `
+func main() {
+	var a = 7.5;
+	println(7 % 2, a * 2);
+	println(a % 2);
+}`},
 	{name: "type-error-mid-loop", src: `
 func main() {
 	var x = 0;

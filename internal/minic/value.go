@@ -145,10 +145,65 @@ func (v Value) numeric() (float64, bool) {
 	}
 }
 
-// intBinary is the interpreter's int⊕int fast path: it writes the result of
-// a op b into dst and reports whether it handled the operator. Division and
-// modulo by zero, and the bool-only logical operators, are left to
-// applyBinary so error reporting stays in one place.
+// fastBinary is the interpreter's numeric fast path: when a and b are both
+// int or float it writes a op b into dst, exactly as applyBinary would, and
+// reports true. It declines everything that can fail (division by zero, %
+// with a float, && and ||, non-numeric kinds) so applyBinary stays the one
+// place a diagnostic is built. dst may alias a or b.
+func fastBinary(op int, a, b, dst *Value) bool {
+	if a.Kind == KindInt && b.Kind == KindInt {
+		return intBinary(op, a.I, b.I, dst)
+	}
+	var af, bf float64
+	switch a.Kind {
+	case KindFloat:
+		af = a.F
+	case KindInt:
+		af = float64(a.I)
+	default:
+		return false
+	}
+	switch b.Kind {
+	case KindFloat:
+		bf = b.F
+	case KindInt:
+		bf = float64(b.I)
+	default:
+		return false
+	}
+	switch op {
+	case BinAdd:
+		*dst = Value{Kind: KindFloat, F: af + bf}
+	case BinSub:
+		*dst = Value{Kind: KindFloat, F: af - bf}
+	case BinMul:
+		*dst = Value{Kind: KindFloat, F: af * bf}
+	case BinDiv:
+		if bf == 0 {
+			return false
+		}
+		*dst = Value{Kind: KindFloat, F: af / bf}
+	case BinEq:
+		*dst = Value{Kind: KindBool, I: boolInt(af == bf)}
+	case BinNe:
+		*dst = Value{Kind: KindBool, I: boolInt(af != bf)}
+	case BinLt:
+		*dst = Value{Kind: KindBool, I: boolInt(af < bf)}
+	case BinLe:
+		*dst = Value{Kind: KindBool, I: boolInt(af <= bf)}
+	case BinGt:
+		// compare's NaN rule: > is "neither less nor equal".
+		*dst = Value{Kind: KindBool, I: boolInt(!(af < bf) && !(af == bf))}
+	case BinGe:
+		*dst = Value{Kind: KindBool, I: boolInt(!(af < bf))}
+	default:
+		return false
+	}
+	return true
+}
+
+// intBinary is fastBinary's int⊕int arm. Division and modulo by zero, and
+// the bool-only logical operators, are left to applyBinary.
 func intBinary(op int, a, b int64, dst *Value) bool {
 	switch op {
 	case BinAdd:
@@ -295,6 +350,9 @@ func compare(op int, a, b Value, line int) (Value, error) {
 	switch {
 	case a.Kind == KindString && b.Kind == KindString:
 		lt, eq = a.S < b.S, a.S == b.S
+	case a.Kind == KindInt && b.Kind == KindInt:
+		// Ordered as ints: above 2^53 float64 would merge neighbours.
+		lt, eq = a.I < b.I, a.I == b.I
 	default:
 		af, aok := a.numeric()
 		bf, bok := b.numeric()

@@ -408,12 +408,16 @@ func (m *Machine) exec(st *frameArena, f *CompiledFunc, base, depth int) (Value,
 			stack[sp] = v
 			sp++
 		case OpCallBuiltin:
-			// Builtins may block (join, sem_wait, recv); flush so a stalled
-			// thread's steps are visible and cancellation is observed.
-			if err := m.flushSteps(st); err != nil {
-				return UnitValue(), err
+			// A builtin that can block (join, sem_wait, recv, ...) flushes
+			// first, so a stalled thread's steps are visible and
+			// cancellation is observed; the rest run inside the batch.
+			b := &builtins[in.A]
+			if b.blocks {
+				if err := m.flushSteps(st); err != nil {
+					return UnitValue(), err
+				}
 			}
-			v, err := builtins[in.A].fn(m, stack[sp-in.B:sp], in.Line)
+			v, err := b.fn(m, stack[sp-in.B:sp], in.Line)
 			if err != nil {
 				return UnitValue(), err
 			}
@@ -438,8 +442,7 @@ func (m *Machine) exec(st *frameArena, f *CompiledFunc, base, depth int) (Value,
 		case OpPop:
 			sp--
 		case OpBinary:
-			if stack[sp-2].Kind == KindInt && stack[sp-1].Kind == KindInt &&
-				intBinary(in.A, stack[sp-2].I, stack[sp-1].I, &stack[sp-2]) {
+			if fastBinary(in.A, &stack[sp-2], &stack[sp-1], &stack[sp-2]) {
 				sp--
 				break
 			}
@@ -456,20 +459,19 @@ func (m *Machine) exec(st *frameArena, f *CompiledFunc, base, depth int) (Value,
 			}
 			stack[sp-1] = v
 		case OpIndex:
-			v, err := m.indexGet(stack[sp-2], stack[sp-1], in.Line)
+			v, err := m.indexGet(&stack[sp-2], &stack[sp-1], in.Line)
 			if err != nil {
 				return UnitValue(), err
 			}
 			sp--
 			stack[sp-1] = v
 		case OpSetIndex:
-			if err := m.indexSet(stack[sp-3], stack[sp-2], stack[sp-1], in.Line); err != nil {
+			if err := m.indexSet(&stack[sp-3], &stack[sp-2], &stack[sp-1], in.Line); err != nil {
 				return UnitValue(), err
 			}
 			sp -= 3
 		case OpLoadLocalConstBin:
-			if locals[in.A].Kind == KindInt && consts[in.B].Kind == KindInt &&
-				intBinary(in.C, locals[in.A].I, consts[in.B].I, &stack[sp]) {
+			if fastBinary(in.C, &locals[in.A], &consts[in.B], &stack[sp]) {
 				sp++
 				break
 			}
@@ -480,8 +482,7 @@ func (m *Machine) exec(st *frameArena, f *CompiledFunc, base, depth int) (Value,
 			stack[sp] = v
 			sp++
 		case OpLoadLocal2Bin:
-			if locals[in.A].Kind == KindInt && locals[in.B].Kind == KindInt &&
-				intBinary(in.C, locals[in.A].I, locals[in.B].I, &stack[sp]) {
+			if fastBinary(in.C, &locals[in.A], &locals[in.B], &stack[sp]) {
 				sp++
 				break
 			}
@@ -500,18 +501,21 @@ func (m *Machine) exec(st *frameArena, f *CompiledFunc, base, depth int) (Value,
 	return UnitValue(), nil
 }
 
-func (m *Machine) indexGet(arr, idx Value, line int) (Value, error) {
+func (m *Machine) indexGet(arr, idx *Value, line int) (Value, error) {
 	if idx.Kind != KindInt {
 		return Value{}, errAt(line, 0, "array index is %s, not int", idx.Kind)
 	}
 	switch arr.Kind {
 	case KindArray:
 		m.memMu.Lock()
-		defer m.memMu.Unlock()
-		if idx.I < 0 || idx.I >= int64(len(arr.Arr.Elems)) {
-			return Value{}, errAt(line, 0, "index %d out of range [0,%d)", idx.I, len(arr.Arr.Elems))
+		elems := arr.Arr.Elems
+		if idx.I < 0 || idx.I >= int64(len(elems)) {
+			m.memMu.Unlock()
+			return Value{}, errAt(line, 0, "index %d out of range [0,%d)", idx.I, len(elems))
 		}
-		return arr.Arr.Elems[idx.I], nil
+		v := elems[idx.I]
+		m.memMu.Unlock()
+		return v, nil
 	case KindString:
 		if idx.I < 0 || idx.I >= int64(len(arr.S)) {
 			return Value{}, errAt(line, 0, "index %d out of range [0,%d)", idx.I, len(arr.S))
@@ -522,7 +526,7 @@ func (m *Machine) indexGet(arr, idx Value, line int) (Value, error) {
 	}
 }
 
-func (m *Machine) indexSet(arr, idx, val Value, line int) error {
+func (m *Machine) indexSet(arr, idx, val *Value, line int) error {
 	if arr.Kind != KindArray {
 		return errAt(line, 0, "cannot assign into a %s", arr.Kind)
 	}
@@ -530,11 +534,13 @@ func (m *Machine) indexSet(arr, idx, val Value, line int) error {
 		return errAt(line, 0, "array index is %s, not int", idx.Kind)
 	}
 	m.memMu.Lock()
-	defer m.memMu.Unlock()
-	if idx.I < 0 || idx.I >= int64(len(arr.Arr.Elems)) {
-		return errAt(line, 0, "index %d out of range [0,%d)", idx.I, len(arr.Arr.Elems))
+	elems := arr.Arr.Elems
+	if idx.I < 0 || idx.I >= int64(len(elems)) {
+		m.memMu.Unlock()
+		return errAt(line, 0, "index %d out of range [0,%d)", idx.I, len(elems))
 	}
-	arr.Arr.Elems[idx.I] = val
+	elems[idx.I] = *val
+	m.memMu.Unlock()
 	return nil
 }
 
@@ -560,6 +566,10 @@ type builtinSpec struct {
 	name  string
 	arity int // -1 means variadic
 	fn    func(m *Machine, args []Value, line int) (Value, error)
+	// blocks marks a builtin that can wait on I/O, a peer rank, another
+	// thread or the scheduler; the interpreter flushes its step batch
+	// before calling one.
+	blocks bool
 }
 
 var builtins []builtinSpec
@@ -572,43 +582,43 @@ func isBuiltin(name string) bool {
 
 func init() {
 	builtins = []builtinSpec{
-		{"print", -1, biPrint},
-		{"println", -1, biPrintln},
-		{"len", 1, biLen},
-		{"array", 1, biArray},
-		{"atoi", 1, biAtoi},
-		{"itoa", 1, biItoa},
-		{"int", 1, biInt},
-		{"float", 1, biFloat},
-		{"abs", 1, biAbs},
-		{"min", 2, biMin},
-		{"max", 2, biMax},
-		{"sqrt", 1, biSqrt},
-		{"readline", 0, biReadline},
-		{"random", 1, biRandom},
-		{"assert", 2, biAssert},
-		{"rank", 0, biRank},
-		{"size", 0, biSize},
-		{"send", 2, biSend},
-		{"recv", 1, biRecv},
-		{"barrier", 0, biBarrier},
-		{"bcast", 2, biBcast},
-		{"reduce_sum", 1, biReduceSum},
-		{"reduce_max", 1, biReduceMax},
-		{"reduce_min", 1, biReduceMin},
-		{"gather", 2, biGather},
-		{"scatter", 2, biScatter},
-		{"time_ns", 0, biTimeNS},
-		{"work_ns", 1, biWorkNS},
-		{"mutex", 0, biMutex},
-		{"lock", 1, biLock},
-		{"unlock", 1, biUnlock},
-		{"sem", 1, biSem},
-		{"sem_wait", 1, biSemWait},
-		{"sem_signal", 1, biSemSignal},
-		{"sem_trywait", 1, biSemTryWait},
-		{"join", 1, biJoin},
-		{"yield", 0, biYield},
+		{"print", -1, biPrint, true},
+		{"println", -1, biPrintln, true},
+		{"len", 1, biLen, false},
+		{"array", 1, biArray, false},
+		{"atoi", 1, biAtoi, false},
+		{"itoa", 1, biItoa, false},
+		{"int", 1, biInt, false},
+		{"float", 1, biFloat, false},
+		{"abs", 1, biAbs, false},
+		{"min", 2, biMin, false},
+		{"max", 2, biMax, false},
+		{"sqrt", 1, biSqrt, false},
+		{"readline", 0, biReadline, true},
+		{"random", 1, biRandom, false},
+		{"assert", 2, biAssert, false},
+		{"rank", 0, biRank, false},
+		{"size", 0, biSize, false},
+		{"send", 2, biSend, true},
+		{"recv", 1, biRecv, true},
+		{"barrier", 0, biBarrier, true},
+		{"bcast", 2, biBcast, true},
+		{"reduce_sum", 1, biReduceSum, true},
+		{"reduce_max", 1, biReduceMax, true},
+		{"reduce_min", 1, biReduceMin, true},
+		{"gather", 2, biGather, true},
+		{"scatter", 2, biScatter, true},
+		{"time_ns", 0, biTimeNS, false},
+		{"work_ns", 1, biWorkNS, false},
+		{"mutex", 0, biMutex, false},
+		{"lock", 1, biLock, true},
+		{"unlock", 1, biUnlock, false},
+		{"sem", 1, biSem, false},
+		{"sem_wait", 1, biSemWait, true},
+		{"sem_signal", 1, biSemSignal, false},
+		{"sem_trywait", 1, biSemTryWait, false},
+		{"join", 1, biJoin, true},
+		{"yield", 0, biYield, true},
 	}
 	builtinIndex = make(map[string]int, len(builtins))
 	for i, b := range builtins {
@@ -734,14 +744,21 @@ func biMax(_ *Machine, args []Value, line int) (Value, error) {
 }
 
 func compareAndPick(args []Value, line int, wantMin bool) (Value, error) {
-	af, aok := args[0].numeric()
-	bf, bok := args[1].numeric()
-	if !aok || !bok {
-		return Value{}, errAt(line, 0, "min/max need numeric operands")
+	var less, greater bool
+	if args[0].Kind == KindInt && args[1].Kind == KindInt {
+		// Ordered as ints: above 2^53 float64 would merge neighbours.
+		less, greater = args[0].I < args[1].I, args[0].I > args[1].I
+	} else {
+		af, aok := args[0].numeric()
+		bf, bok := args[1].numeric()
+		if !aok || !bok {
+			return Value{}, errAt(line, 0, "min/max need numeric operands")
+		}
+		less, greater = af < bf, af > bf
 	}
-	pickFirst := af < bf
+	pickFirst := less
 	if !wantMin {
-		pickFirst = af > bf
+		pickFirst = greater
 	}
 	if pickFirst {
 		return args[0], nil

@@ -3,6 +3,8 @@ package minic
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -49,6 +51,71 @@ func main() {
 	println("con" + "cat");
 }`)
 	want := "7\n3\n1\n-3\n3.5\n-5\ntrue\nfalse\nconcat\n"
+	if got != want {
+		t.Fatalf("output = %q, want %q", got, want)
+	}
+}
+
+// TestFastBinaryMatchesApplyBinary pins the dispatch loop's numeric fast
+// path to the general evaluator. Where fastBinary handles a case its result
+// is applyBinary's bit for bit, also when it overwrites its left operand as
+// OpBinary does; where applyBinary fails it declines, so diagnostics are
+// built in one place; and it handles every numeric case that cannot fail.
+func TestFastBinaryMatchesApplyBinary(t *testing.T) {
+	var vals []Value
+	for _, i := range []int64{0, 1, -1, 1<<53 + 1, math.MinInt64, math.MaxInt64} {
+		vals = append(vals, IntValue(i))
+	}
+	for _, f := range []float64{0, math.Copysign(0, -1), 1, -1, 0.5, 1<<53 + 1,
+		math.MinInt64, math.MaxInt64, math.Inf(1), math.Inf(-1), math.NaN()} {
+		vals = append(vals, FloatValue(f))
+	}
+	vals = append(vals, BoolValue(false), BoolValue(true), StringValue(""), StringValue("a"), UnitValue())
+	show := func(v Value) string { return fmt.Sprintf("%s(%s)", v.Kind, v) }
+	same := func(x, y Value) bool {
+		return x.Kind == y.Kind && x.I == y.I && math.Float64bits(x.F) == math.Float64bits(y.F)
+	}
+	for sym, op := range binOpCode {
+		for _, a := range vals {
+			for _, b := range vals {
+				want, err := applyBinary(op, a, b, 1)
+				var got Value
+				ok := fastBinary(op, &a, &b, &got)
+				aliased := a
+				okAliased := fastBinary(op, &aliased, &b, &aliased)
+				name := show(a) + " " + sym + " " + show(b)
+				switch {
+				case ok != okAliased:
+					t.Errorf("%s: handled=%v, but %v when dst aliases a", name, ok, okAliased)
+				case err != nil:
+					if ok {
+						t.Errorf("%s: fast path gave %s where applyBinary fails: %v", name, show(got), err)
+					}
+				case !ok:
+					numeric := (a.Kind == KindInt || a.Kind == KindFloat) && (b.Kind == KindInt || b.Kind == KindFloat)
+					if numeric {
+						t.Errorf("%s: fast path declined a numeric case applyBinary evaluates", name)
+					}
+				case !same(got, want) || !same(aliased, want):
+					t.Errorf("%s: fast path %s (aliased %s), applyBinary %s", name, show(got), show(aliased), show(want))
+				}
+			}
+		}
+	}
+}
+
+// TestMinMaxLargeInts: 2^53+1 and 2^53 are distinct ints but the same
+// float64, so min and max must order ints as ints.
+func TestMinMaxLargeInts(t *testing.T) {
+	got := run(t, `
+func main() {
+	var a = 9007199254740993;
+	var b = 9007199254740992;
+	println(max(a, b), max(b, a), min(a, b), min(b, a));
+	println(max(-a, -b), min(-a, -b));
+}`)
+	want := "9007199254740993 9007199254740993 9007199254740992 9007199254740992\n" +
+		"-9007199254740992 -9007199254740993\n"
 	if got != want {
 		t.Fatalf("output = %q, want %q", got, want)
 	}
@@ -245,18 +312,30 @@ func TestCompileErrors(t *testing.T) {
 	}
 }
 
+// spinLoops are the endless loops the budget and cancellation tests stop:
+// an empty one, and one whose only builtin does not block, so nothing but
+// the interpreter's periodic batch flush checks them.
+var spinLoops = []struct{ name, src string }{
+	{"empty", `func main() { while (true) { } }`},
+	{"non-blocking-builtin", `func main() { while (true) { var x = float(1); } }`},
+}
+
 func TestStepBudget(t *testing.T) {
-	u, err := CompileSource(`func main() { while (true) { } }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := NewMachine(u, MachineConfig{StepBudget: 10_000})
-	_, err = m.Run()
-	if !errors.Is(err, ErrStepBudget) {
-		t.Fatalf("infinite loop err = %v, want ErrStepBudget", err)
-	}
-	if m.Steps() < 10_000 {
-		t.Fatalf("Steps = %d", m.Steps())
+	for _, tc := range spinLoops {
+		t.Run(tc.name, func(t *testing.T) {
+			u, err := CompileSource(tc.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := NewMachine(u, MachineConfig{StepBudget: 10_000})
+			_, err = m.Run()
+			if !errors.Is(err, ErrStepBudget) {
+				t.Fatalf("infinite loop err = %v, want ErrStepBudget", err)
+			}
+			if m.Steps() < 10_000 {
+				t.Fatalf("Steps = %d", m.Steps())
+			}
+		})
 	}
 }
 
