@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check build vet fmt test race portalbench-test examples-smoke bench bench-vm bench-sched bench-wal bench-stream bench-http bench-fair bench-mpi smoke-http apilint
+.PHONY: all check build vet fmt test race portalbench-test examples-smoke bench bench-vm bench-sched bench-wal bench-stream bench-http bench-mpi smoke-http apilint
 
 all: check
 
@@ -72,7 +72,8 @@ bench-vm:
 	@cat BENCH_vm.json
 
 # bench-sched measures sustained control-plane throughput (jobs/sec and
-# scheduler pass latency at 64 and 1024 simulated nodes) and records it in
+# scheduler pass latency at 64 and 1024 simulated nodes, and at 1024 with
+# weighted owners and a live tenancy accountant) and records every case in
 # BENCH_sched.json. Like bench-vm, it is not part of check: benchmark
 # walltime is too noisy for a CI gate.
 bench-sched:
@@ -98,15 +99,6 @@ bench-wal:
 	$(GO) test -run '^$$' -bench BenchmarkWALAppend -benchtime 1s ./internal/dataprovider/ \
 	| $(GO) run ./cmd/benchjson -o BENCH_wal.json
 	@cat BENCH_wal.json
-
-# bench-fair measures scheduler throughput with weighted fair-share enabled
-# (BenchmarkSchedulerFairShare) next to the FIFO baseline at 1024 nodes, and
-# records both in BENCH_fair.json — the fair-share pass must hold within 10%
-# of FIFO throughput. Like the other bench targets, not part of check.
-bench-fair:
-	$(GO) test -run '^$$' -bench 'BenchmarkSchedulerThroughput/grid=1024|BenchmarkSchedulerFairShare' -benchtime 5x ./internal/scheduler/ \
-	| $(GO) run ./cmd/benchjson -o BENCH_fair.json
-	@cat BENCH_fair.json
 
 # bench-mpi measures the MPI data plane: point-to-point ns/op and allocs/op
 # (the pooled RecvInto path must stay at 0 allocs/op — also gated in check by

@@ -204,7 +204,10 @@ func BenchmarkPA3BoundedBuffer(b *testing.B) {
 // BenchmarkPortalPipeline measures the full HTTP round trip: upload,
 // submit, dispatch, compile (cached after the first), execute, collect.
 func BenchmarkPortalPipeline(b *testing.B) {
-	sys, err := New(DefaultConfig(), Options{})
+	cfg := DefaultConfig()
+	// Its one user outruns the default API rate limit: time the pipeline, not 429s.
+	cfg.Limits.APIRatePerSec = 0
+	sys, err := New(cfg, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -257,7 +260,7 @@ func BenchmarkSchedulerPolicies(b *testing.B) {
 		b.Run(policy.Name(), func(b *testing.B) {
 			var crossPairs int
 			for i := 0; i < b.N; i++ {
-				nodes := policy.Select(grid, free, 8)
+				nodes := policy.Select(free, 8)
 				if nodes == nil {
 					b.Fatal("selection failed")
 				}

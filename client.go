@@ -70,11 +70,15 @@ const (
 	retryJitterMax      = 100 * time.Millisecond
 )
 
-func (c *Client) do(method, path string, body io.Reader, out interface{}) error {
+// send issues one API request and is the client's only path to the wire:
+// it sets the session token, retries a short 429 under the policy above and
+// turns any other error status into an *APIError. On success the caller
+// owns the response body.
+func (c *Client) send(ctx context.Context, method, path string, body io.Reader) (*http.Response, error) {
 	for attempt := 0; ; attempt++ {
-		req, err := http.NewRequest(method, c.BaseURL+path, body)
+		req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, body)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if body != nil {
 			req.Header.Set("Content-Type", "application/json")
@@ -84,29 +88,46 @@ func (c *Client) do(method, path string, body io.Reader, out interface{}) error 
 		}
 		res, err := c.httpClient().Do(req)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		data, err := io.ReadAll(res.Body)
+		if res.StatusCode < 400 {
+			return res, nil
+		}
+		data, err := io.ReadAll(io.LimitReader(res.Body, 1<<20))
 		res.Body.Close()
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if res.StatusCode >= 400 {
-			if res.StatusCode == http.StatusTooManyRequests && attempt < maxRateLimitRetries {
-				if wait, ok := retryAfterOf(res); ok && wait <= maxRetryAfterWait && rewind(body) {
-					time.Sleep(wait + time.Duration(rand.Int63n(int64(retryJitterMax))))
-					continue
+		if res.StatusCode == http.StatusTooManyRequests && attempt < maxRateLimitRetries {
+			if wait, ok := retryAfterOf(res); ok && wait <= maxRetryAfterWait && rewind(body) {
+				select {
+				case <-ctx.Done():
+					return nil, ctx.Err()
+				case <-time.After(wait + time.Duration(rand.Int63n(int64(retryJitterMax)))):
 				}
-			}
-			return decodeAPIError(res, data, method, path)
-		}
-		if out != nil {
-			if err := json.Unmarshal(data, out); err != nil {
-				return fmt.Errorf("ccportal: decoding %s: %w", path, err)
+				continue
 			}
 		}
-		return nil
+		return nil, decodeAPIError(res, data, method, path)
 	}
+}
+
+func (c *Client) do(method, path string, body io.Reader, out interface{}) error {
+	res, err := c.send(context.Background(), method, path, body)
+	if err != nil {
+		return err
+	}
+	data, err := io.ReadAll(res.Body)
+	res.Body.Close()
+	if err != nil {
+		return err
+	}
+	if out != nil {
+		if err := json.Unmarshal(data, out); err != nil {
+			return fmt.Errorf("ccportal: decoding %s: %w", path, err)
+		}
+	}
+	return nil
 }
 
 // retryAfterOf parses the response's Retry-After header (delta-seconds form).
@@ -222,26 +243,12 @@ func (c *Client) Upload(path string, content []byte) error {
 
 // Download fetches a file's contents.
 func (c *Client) Download(path string) ([]byte, error) {
-	req, err := http.NewRequest("GET", c.BaseURL+"/api/files/content?path="+url.QueryEscape(path), nil)
-	if err != nil {
-		return nil, err
-	}
-	if c.token != "" {
-		req.Header.Set("Authorization", "Bearer "+c.token)
-	}
-	res, err := c.httpClient().Do(req)
+	res, err := c.send(context.Background(), "GET", "/api/files/content?path="+url.QueryEscape(path), nil)
 	if err != nil {
 		return nil, err
 	}
 	defer res.Body.Close()
-	data, err := io.ReadAll(res.Body)
-	if err != nil {
-		return nil, err
-	}
-	if res.StatusCode >= 400 {
-		return nil, fmt.Errorf("ccportal: download %s: HTTP %d", path, res.StatusCode)
-	}
-	return data, nil
+	return io.ReadAll(res.Body)
 }
 
 // Mkdir creates a directory (and parents).
@@ -454,23 +461,9 @@ func (c *Client) Watch(ctx context.Context, id string) (*Watch, error) {
 // at the live tail (only new output); a stale seq is clamped to the oldest
 // retained byte, surfacing the gap as the first event's Dropped count.
 func (c *Client) WatchFrom(ctx context.Context, id string, seq int64) (*Watch, error) {
-	path := fmt.Sprintf("/api/jobs/%s/events?seq=%d", id, seq)
-	req, err := http.NewRequestWithContext(ctx, "GET", c.BaseURL+path, nil)
+	res, err := c.send(ctx, "GET", fmt.Sprintf("/api/jobs/%s/events?seq=%d", id, seq), nil)
 	if err != nil {
 		return nil, err
-	}
-	req.Header.Set("Accept", "text/event-stream")
-	if c.token != "" {
-		req.Header.Set("Authorization", "Bearer "+c.token)
-	}
-	res, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	if res.StatusCode >= 400 {
-		defer res.Body.Close()
-		body, _ := io.ReadAll(io.LimitReader(res.Body, 1<<20))
-		return nil, decodeAPIError(res, body, "GET", path)
 	}
 	return &Watch{body: res.Body, br: bufio.NewReader(res.Body)}, nil
 }

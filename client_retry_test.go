@@ -117,3 +117,61 @@ func TestClientDoesNotRetryLongOrHeaderless429(t *testing.T) {
 		})
 	}
 }
+
+// TestClientWaitJobRetriesThrottledWatch: the event stream rides out a
+// short 429 the same way every other call does, so WaitJob does not fail on
+// a throttle that Submit and JobStatus would absorb.
+func TestClientWaitJobRetriesThrottledWatch(t *testing.T) {
+	var watches atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/api/jobs/job-1/events":
+			if watches.Add(1) == 1 {
+				w.Header().Set("Retry-After", "0")
+				w.WriteHeader(http.StatusTooManyRequests)
+				io.WriteString(w, rateLimitedBody)
+				return
+			}
+			w.Header().Set("Content-Type", "text/event-stream")
+			io.WriteString(w, "event: output\ndata: {\"seq\":0,\"data\":\"hi\\n\"}\n\n")
+			io.WriteString(w, "event: done\ndata: {\"seq\":3,\"state\":\"succeeded\"}\n\n")
+		case "/api/jobs/job-1":
+			io.WriteString(w, `{"id":"job-1","state":"succeeded"}`)
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	defer srv.Close()
+
+	job, out, err := NewClient(srv.URL).WaitJob("job-1", 5*time.Second)
+	if err != nil {
+		t.Fatalf("WaitJob after one throttled watch: %v", err)
+	}
+	if job.State != "succeeded" || out != "hi\n" {
+		t.Fatalf("job = %+v, output = %q", job, out)
+	}
+	if got := watches.Load(); got != 2 {
+		t.Fatalf("server saw %d /events requests, want 2 (1 throttled + 1 stream)", got)
+	}
+}
+
+// TestClientDownloadErrorIsAPIError: a failed download decodes the error
+// envelope like every other call, so callers can branch on the code and
+// quote the request ID.
+func TestClientDownloadErrorIsAPIError(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusNotFound)
+		io.WriteString(w, `{"error":{"code":"not_found","message":"no such file","request_id":"req-42"}}`)
+	}))
+	defer srv.Close()
+
+	_, err := NewClient(srv.URL).Download("/missing.mc")
+	var ae *APIError
+	if !errors.As(err, &ae) {
+		t.Fatalf("err = %v (%T), want *APIError", err, err)
+	}
+	if ae.Status != http.StatusNotFound || ae.Code != "not_found" || ae.RequestID != "req-42" {
+		t.Fatalf("APIError = %+v", ae)
+	}
+}

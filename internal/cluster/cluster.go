@@ -221,20 +221,9 @@ func (c *Cluster) Nodes() []Node {
 
 // FreeNodes returns the ids of currently allocatable nodes, flat order.
 func (c *Cluster) FreeNodes() []topology.NodeID {
-	return c.FreeNodesN(-1)
-}
-
-// FreeNodesN returns up to max allocatable node ids in flat order (all of
-// them when max < 0). The scheduler uses it with a policy's free-list bound
-// so a pack placement of n ranks reads n ids, not the whole grid.
-func (c *Cluster) FreeNodesN(max int) []topology.NodeID {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	size := c.free.count
-	if max >= 0 && max < size {
-		size = max
-	}
-	return c.free.appendIDs(make([]topology.NodeID, 0, size), c.grid, max)
+	return c.free.appendIDs(make([]topology.NodeID, 0, c.free.count), c.grid)
 }
 
 // FreeGPUNodes returns the ids of allocatable GPU-equipped nodes, flat
@@ -242,23 +231,7 @@ func (c *Cluster) FreeNodesN(max int) []topology.NodeID {
 func (c *Cluster) FreeGPUNodes() []topology.NodeID {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.freeGPU.appendIDs(make([]topology.NodeID, 0, c.freeGPU.count), c.grid, -1)
-}
-
-// FreeNodesWhere returns allocatable nodes satisfying pred, in flat order.
-// It walks only the free set; for the common GPU predicate use FreeGPUNodes,
-// which is indexed.
-func (c *Cluster) FreeNodesWhere(pred func(Node) bool) []topology.NodeID {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var out []topology.NodeID
-	c.free.forEach(func(flat int) bool {
-		if n := c.nodes[flat]; pred(*n) {
-			out = append(out, n.ID)
-		}
-		return true
-	})
-	return out
+	return c.freeGPU.appendIDs(make([]topology.NodeID, 0, c.freeGPU.count), c.grid)
 }
 
 // FreeCount reports how many nodes are allocatable. O(1): the free set

@@ -10,9 +10,9 @@ import (
 // It is the cluster's incrementally-maintained free-node index: membership
 // flips are O(1), the count is O(1), and enumerating the members in flat
 // order is O(words + members) — no map iteration, no sort. The cluster keeps
-// one freeSet for all free nodes and a second for the free GPU nodes, so the
-// scheduler's "give me n free (GPU) nodes" is proportional to the answer,
-// not to the size of the grid.
+// one freeSet for all free nodes and a second for the free GPU nodes, so
+// listing the free (GPU) nodes reads one word per 64 nodes plus the
+// members, never every node's state.
 type freeSet struct {
 	words []uint64
 	count int
@@ -45,39 +45,16 @@ func (f *freeSet) has(i int) bool {
 	return f.words[i>>6]&(uint64(1)<<(i&63)) != 0
 }
 
-// appendIDs appends up to max member ids (all of them when max < 0) to out
-// in flat order and returns the extended slice.
-func (f *freeSet) appendIDs(out []topology.NodeID, grid *topology.Grid, max int) []topology.NodeID {
-	if max == 0 {
-		return out
-	}
-	n := 0
+// appendIDs appends every member id to out in flat order and returns the
+// extended slice.
+func (f *freeSet) appendIDs(out []topology.NodeID, grid *topology.Grid) []topology.NodeID {
 	for wi, w := range f.words {
 		base := wi << 6
 		for w != 0 {
 			i := base + bits.TrailingZeros64(w)
 			w &= w - 1
 			out = append(out, grid.NodeAt(i))
-			n++
-			if max > 0 && n == max {
-				return out
-			}
 		}
 	}
 	return out
-}
-
-// forEach calls fn with each member's flat rank in ascending order until fn
-// returns false.
-func (f *freeSet) forEach(fn func(flat int) bool) {
-	for wi, w := range f.words {
-		base := wi << 6
-		for w != 0 {
-			i := base + bits.TrailingZeros64(w)
-			w &= w - 1
-			if !fn(i) {
-				return
-			}
-		}
-	}
 }

@@ -142,11 +142,8 @@ type MPI struct {
 	SendOverhead Duration `json:"send_overhead"`
 }
 
-// Fairness tunes multi-tenant scheduling.
+// Fairness tunes the scheduler's weighted fair-share across job owners.
 type Fairness struct {
-	// Enabled switches the scheduler from pure FIFO to weighted fair-share
-	// across job owners.
-	Enabled bool `json:"enabled"`
 	// DefaultWeight is the fair-share weight of users without an override.
 	DefaultWeight int64 `json:"default_weight"`
 }
@@ -227,7 +224,6 @@ func Default() Config {
 			SendOverhead: Duration(5 * time.Microsecond),
 		},
 		Fairness: Fairness{
-			Enabled:       true,
 			DefaultWeight: 1,
 		},
 		Persistence: Persistence{
@@ -295,7 +291,7 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: mpi.collectives must be \"linear\", \"tree\" or \"hier\", got %q", c.MPI.Collectives)
 	case c.MPI.BufferDepth <= 0:
 		return fmt.Errorf("config: mpi.buffer_depth must be positive, got %d", c.MPI.BufferDepth)
-	case c.Fairness.Enabled && c.Fairness.DefaultWeight < 1:
+	case c.Fairness.DefaultWeight < 1:
 		return fmt.Errorf("config: fairness.default_weight must be >= 1, got %d", c.Fairness.DefaultWeight)
 	case c.Persistence.Mode != "memory" && c.Persistence.Mode != "durable":
 		return fmt.Errorf("config: persistence.mode must be \"memory\" or \"durable\", got %q", c.Persistence.Mode)

@@ -48,6 +48,7 @@ func TestValidateCatchesEveryField(t *testing.T) {
 		{"wall_time", func(c *Config) { c.Limits.JobWallTime = 0 }},
 		{"step_budget", func(c *Config) { c.Limits.VMStepBudget = 0 }},
 		{"artifact_cache", func(c *Config) { c.Limits.ArtifactCacheSize = 0 }},
+		{"default_weight", func(c *Config) { c.Fairness.DefaultWeight = 0 }},
 	}
 	for _, m := range mutations {
 		c := Default()
@@ -111,9 +112,15 @@ func TestReadAppliesDefaultsForAbsentFields(t *testing.T) {
 	}
 }
 
+// TestReadRejectsUnknownFields: a misspelt key, and a file that still sets
+// fairness.enabled (fair-share is the only dispatch pass, so the switch is
+// gone), are refused rather than silently ignored.
 func TestReadRejectsUnknownFields(t *testing.T) {
 	if _, err := Read(strings.NewReader(`{"clusterr": {}}`)); err == nil {
 		t.Fatal("unknown field accepted")
+	}
+	if _, err := Load(filepath.Join("testdata", "fairness_enabled.json")); err == nil {
+		t.Error("a file setting fairness.enabled was accepted")
 	}
 }
 

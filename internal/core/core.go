@@ -136,7 +136,6 @@ func NewSystem(cfg config.Config, opts Options) (*System, error) {
 		Logger:          opts.Logger.Named("sched"),
 		Clock:           clk,
 		Metrics:         reg,
-		FairShare:       cfg.Fairness.Enabled,
 		Tenant:          acct,
 	})
 	prov, err := buildProvider(cfg, reg)

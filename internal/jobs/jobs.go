@@ -611,9 +611,9 @@ func (s *Store) transition(id string, next State, failure string, now time.Time,
 	j.step.Unlock()
 	if next == StateQueued {
 		// Re-enter the FIFO queued-index (outside j.step and j.mu:
-		// ScanQueued holds queueMu while reading and failing jobs, so the
-		// lock order must stay queueMu → j.step → j.mu everywhere) and wake
-		// the dispatcher.
+		// ScanQueued holds queueMu while reading job states, so the lock
+		// order must stay queueMu → j.step → j.mu everywhere) and wake the
+		// dispatcher.
 		s.queueMu.Lock()
 		s.queue = append(s.queue, j)
 		s.queueMu.Unlock()
@@ -703,34 +703,26 @@ func (s *Store) ListPageInto(dst []Snapshot, owner string, state *State, limit i
 }
 
 // ScanQueued walks still-queued jobs in submission (FIFO) order, calling fn
-// on each until fn returns false. Jobs that have left StateQueued are pruned
-// from the index as the walk passes them, so a pass costs O(jobs visited +
-// jobs departed since the last scan) — amortized O(1) per job over its
-// lifetime — rather than O(all non-terminal jobs).
+// on each. Jobs that have left StateQueued are pruned from the index as the
+// walk passes them, so a scan costs O(queued jobs + jobs departed since the
+// last scan) rather than O(all non-terminal jobs).
 //
 // fn runs with the queued-index locked: it must not call Submit (the only
 // store operation that takes the same lock). State transitions on the
 // visited job are fine.
-func (s *Store) ScanQueued(fn func(*Job) bool) {
+func (s *Store) ScanQueued(fn func(*Job)) {
 	s.queueMu.Lock()
 	defer s.queueMu.Unlock()
 	q := s.queue
-	w, r := 0, 0
-	for ; r < len(q); r++ {
-		j := q[r]
+	w := 0
+	for _, j := range q {
 		if j.State() != StateQueued {
 			continue // departed; drop from the index
 		}
 		q[w] = j
 		w++
-		if !fn(j) {
-			r++
-			break
-		}
+		fn(j)
 	}
-	// Keep the unvisited tail verbatim; it is pruned when a later scan
-	// reaches it.
-	w += copy(q[w:], q[r:])
 	for i := w; i < len(q); i++ {
 		q[i] = nil // release for GC
 	}

@@ -155,7 +155,7 @@ func TestRecoverInterruptedRequeues(t *testing.T) {
 	// stale duplicate from before the interruption (pruned lazily by state
 	// at scan time), so count distinct IDs.
 	seen := map[string]bool{}
-	s.ScanQueued(func(j *Job) bool { seen[j.ID] = true; return true })
+	s.ScanQueued(func(j *Job) { seen[j.ID] = true })
 	if len(seen) != 2 {
 		t.Errorf("queue holds %d distinct jobs, want 2", len(seen))
 	}

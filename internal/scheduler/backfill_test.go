@@ -7,10 +7,10 @@ import (
 )
 
 // TestBackfillDoesNotStarveQueueHead pins down the anti-starvation property
-// of the backfill walk: later jobs may run around a blocked queue head, but
-// the moment capacity for the head appears, the FIFO walk tries the head
-// first — a finite backfill stream only finitely delays it, and younger
-// queued jobs can never steal the head's allocation in the same pass.
+// of the backfill pass: later jobs may run around a blocked queue head, but
+// the moment capacity for the head appears, the pass tries the head first —
+// a finite backfill stream only finitely delays it, and younger queued jobs
+// can never steal the head's allocation in the same pass.
 func TestBackfillDoesNotStarveQueueHead(t *testing.T) {
 	r := newRig(t, Options{Backfill: true})
 	r.addSource(t, "alice", "/big.mc", blockingSrc) // the head holds its nodes until stdin closes
@@ -50,8 +50,9 @@ func TestBackfillDoesNotStarveQueueHead(t *testing.T) {
 	}
 
 	// Free 8 nodes — exactly enough for the head and more than enough for a
-	// late 4-node job. One pass must give them to the head: the FIFO walk
-	// reaches it first, so backfill cannot jump the now-startable head.
+	// late 4-node job. One pass must give them to the head: its lane has the
+	// least virtual time (a tie goes to the older lane), so the pass reaches
+	// it first and backfill cannot jump the now-startable head.
 	r.clus.Release("blocker-small")
 	if started := r.sched.Tick(); started != 1 {
 		t.Fatalf("pass started %d jobs, want just the head", started)

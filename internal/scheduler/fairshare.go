@@ -109,12 +109,12 @@ func (s *Scheduler) weightOf(user string) int64 {
 	return 1
 }
 
-// tickFair runs one fair-share pass: group the queued-index into per-owner
+// tickFair runs one dispatch pass: group the queued-index into per-owner
 // lanes, then repeatedly serve the greatest-deficit lane until nothing more
 // fits. Within a lane jobs go in submission order; across lanes the deficit
-// decides. Backfill semantics match the FIFO pass: without backfill a
-// blocked job ends the pass (head-of-line, now per the fair order); with it
-// the pass probes deeper into the blocked lane, up to maxBlockedPerLane.
+// decides. Without backfill a blocked job ends the pass, so no later job
+// jumps the head of the fair order; with it the pass skips the blocked job
+// and probes deeper into its lane, up to maxBlockedPerLane blocked jobs.
 func (s *Scheduler) tickFair() int {
 	s.laneMu.Lock()
 	defer s.laneMu.Unlock()
@@ -125,7 +125,7 @@ func (s *Scheduler) tickFair() int {
 		l.next = 0
 		l.blocked = 0
 	}
-	s.store.ScanQueued(func(job *jobs.Job) bool {
+	s.store.ScanQueued(func(job *jobs.Job) {
 		owner := job.Spec.Owner
 		l := s.lanes[owner]
 		if l == nil {
@@ -134,7 +134,6 @@ func (s *Scheduler) tickFair() int {
 			s.lanes[owner] = l
 		}
 		l.jobs = append(l.jobs, job)
-		return true
 	})
 	// Activate backlogged lanes; drop drained ones entirely — keeping their
 	// old vtime around would only matter for banking, which the activation

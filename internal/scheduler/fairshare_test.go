@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -73,12 +74,13 @@ func countNotQueued(js []*jobs.Job) int {
 }
 
 // TestFairShareLightUserNotStarved is the headline starvation bound: a heavy
-// user floods ten thousand jobs, then a light user submits one. Under FIFO
-// the light job would wait behind the entire flood; under fair-share it must
-// dispatch in the very first pass, because the light user's lane has the
-// same deficit as the heavy lane and each lane ages per job served.
+// user floods ten thousand jobs, then a light user submits one. A
+// submission-order walk would leave the light job behind the entire flood;
+// the fair-share pass must dispatch it in the very first pass, because the
+// light user's lane has the same deficit as the heavy lane and each lane
+// ages per job served.
 func TestFairShareLightUserNotStarved(t *testing.T) {
-	r := newRig(t, Options{FairShare: true})
+	r := newRig(t, Options{})
 	r.addSource(t, "heavy", "/job.mc", helloSrc)
 	r.addSource(t, "light", "/job.mc", helloSrc)
 
@@ -120,7 +122,7 @@ func TestFairShareLightUserNotStarved(t *testing.T) {
 // adding lanes does not dilute it until the cluster itself is smaller than
 // the class.
 func TestFairShareCohortFloodBound(t *testing.T) {
-	r := newRig(t, Options{FairShare: true})
+	r := newRig(t, Options{})
 	r.addSource(t, "heavy", "/job.mc", helloSrc)
 
 	heavyJobs := make([]*jobs.Job, 0, 10_000)
@@ -155,7 +157,7 @@ func TestFairShareCohortFloodBound(t *testing.T) {
 func TestFairShareWeightProportional(t *testing.T) {
 	ft := newFakeTenant()
 	ft.weights["favored"] = 4
-	r := newRig(t, Options{FairShare: true, Tenant: ft})
+	r := newRig(t, Options{Tenant: ft})
 	// Each job holds its node until its stdin closes, so the one pass fills
 	// the 64 nodes once: a job that finished mid-pass would free its node
 	// for the same pass and let both lanes drain toward a 1:1 ratio.
@@ -187,12 +189,12 @@ func TestFairShareWeightProportional(t *testing.T) {
 	}
 }
 
-// TestFairShareBlockedHeadEndsPassWithoutBackfill preserves the FIFO pass's
-// head-of-line contract under fair order: without backfill, the greatest-
-// deficit lane's blocked head ends the pass — later lanes cannot jump it.
-// With backfill the same setup dispatches the small job around the head.
+// TestFairShareBlockedHeadEndsPassWithoutBackfill pins the head-of-line
+// contract in fair order: without backfill, the greatest-deficit lane's
+// blocked head ends the pass — later lanes cannot jump it. With backfill the
+// same setup dispatches the small job around the head.
 func TestFairShareBlockedHeadEndsPassWithoutBackfill(t *testing.T) {
-	r := newRig(t, Options{FairShare: true})
+	r := newRig(t, Options{})
 	r.addSource(t, "alice", "/big.mc", helloSrc)
 	r.addSource(t, "bob", "/small.mc", helloSrc)
 
@@ -212,7 +214,7 @@ func TestFairShareBlockedHeadEndsPassWithoutBackfill(t *testing.T) {
 }
 
 func TestFairShareBackfillsAroundBlockedLane(t *testing.T) {
-	r := newRig(t, Options{FairShare: true, Backfill: true})
+	r := newRig(t, Options{Backfill: true})
 	r.addSource(t, "alice", "/big.mc", helloSrc)
 	r.addSource(t, "bob", "/small.mc", helloSrc)
 
@@ -240,7 +242,7 @@ func TestFairShareBackfillsAroundBlockedLane(t *testing.T) {
 func TestFairShareBudgetGateAtDispatch(t *testing.T) {
 	ft := newFakeTenant()
 	ft.remaining["broke"] = 0
-	r := newRig(t, Options{FairShare: true, Tenant: ft})
+	r := newRig(t, Options{Tenant: ft})
 	r.addSource(t, "broke", "/job.mc", helloSrc)
 	j := r.submit(t, "broke", "/job.mc", "minic", 1)
 
@@ -259,7 +261,7 @@ func TestFairShareBudgetGateAtDispatch(t *testing.T) {
 func TestFairShareBudgetExhaustionMidRun(t *testing.T) {
 	ft := newFakeTenant()
 	ft.remaining["cap"] = 500
-	r := newRig(t, Options{FairShare: true, Tenant: ft})
+	r := newRig(t, Options{Tenant: ft})
 	r.addSource(t, "cap", "/spin.mc", `
 func main() {
 	var total = 0;
@@ -284,7 +286,7 @@ func main() {
 // consumption to the owner.
 func TestFairShareChargesSteps(t *testing.T) {
 	ft := newFakeTenant()
-	r := newRig(t, Options{FairShare: true, Tenant: ft})
+	r := newRig(t, Options{Tenant: ft})
 	r.addSource(t, "alice", "/job.mc", helloSrc)
 	j := r.submit(t, "alice", "/job.mc", "minic", 4)
 
@@ -294,5 +296,104 @@ func TestFairShareChargesSteps(t *testing.T) {
 	}
 	if got := ft.chargedOf("alice"); got <= 0 {
 		t.Fatalf("charged steps = %d, want > 0", got)
+	}
+}
+
+// TestSingleOwnerPassKeepsSubmissionOrder: with one owner there is one lane,
+// so each pass must start exactly the jobs a submission-order walk over the
+// same queue starts — stopping at the first job that does not fit, or with
+// backfill stepping over it. Every job holds its nodes until its stdin
+// closes, and free nodes appear only when the test releases a blocker, so
+// the oracle and the pass see the same free count.
+func TestSingleOwnerPassKeepsSubmissionOrder(t *testing.T) {
+	for _, backfill := range []bool{false, true} {
+		for seed := int64(1); seed <= 4; seed++ {
+			t.Run(fmt.Sprintf("backfill=%v/seed=%d", backfill, seed), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(seed))
+				r := newRig(t, Options{Backfill: backfill})
+				r.addSource(t, "alice", "/job.mc", blockingSrc)
+				free := r.clus.FreeNodes()
+				// 56 of 64 nodes busy; each later round frees 8 of them.
+				for b := 0; b < 7; b++ {
+					if err := r.clus.AllocateNodes(fmt.Sprintf("blocker-%d", b), free[8*b:8*b+8]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				var queued, all []*jobs.Job
+				defer func() {
+					for _, j := range all {
+						j.Stdin.Close()
+					}
+				}()
+				submit := func(n int) {
+					for i := 0; i < n; i++ {
+						j := r.submit(t, "alice", "/job.mc", "minic", 1+rng.Intn(16))
+						queued = append(queued, j)
+						all = append(all, j)
+					}
+				}
+				// At most 32 jobs ever queue, so the per-lane probe bound
+				// (TestBackfillProbeBoundPerLane) never cuts a pass short.
+				submit(20)
+				for round := 0; round < 5; round++ {
+					if round > 0 {
+						r.clus.Release(fmt.Sprintf("blocker-%d", round))
+						submit(3)
+					}
+					// The oracle: walk the queue in submission order.
+					avail := r.clus.FreeCount()
+					var want []string
+					for _, j := range queued {
+						if j.Spec.Ranks <= avail {
+							want = append(want, j.ID)
+							avail -= j.Spec.Ranks
+						} else if !backfill {
+							break
+						}
+					}
+					started := r.sched.Tick()
+					var got []string
+					var still []*jobs.Job
+					for _, j := range queued {
+						if len(j.Snapshot().Nodes) > 0 {
+							got = append(got, j.ID)
+						} else {
+							still = append(still, j)
+						}
+					}
+					if started != len(want) || fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Fatalf("round %d: pass started %d jobs %v, submission order starts %v", round, started, got, want)
+					}
+					queued = still
+				}
+			})
+		}
+	}
+}
+
+// TestBackfillProbeBoundPerLane pins the documented probe depth: with
+// backfill, a pass steps over at most 32 blocked jobs in one lane. A 1-node
+// job queued behind 31 blocked 16-node jobs of the same owner starts;
+// behind 32 it waits for a later pass.
+func TestBackfillProbeBoundPerLane(t *testing.T) {
+	for _, tc := range []struct{ blocked, started int }{{31, 1}, {32, 0}} {
+		t.Run(fmt.Sprintf("blocked=%d", tc.blocked), func(t *testing.T) {
+			r := newRig(t, Options{Backfill: true})
+			r.addSource(t, "alice", "/job.mc", helloSrc)
+			free := r.clus.FreeNodes()
+			if err := r.clus.AllocateNodes("blocker", free[:60]); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < tc.blocked; i++ {
+				r.submit(t, "alice", "/job.mc", "minic", 16) // 4 free: blocked
+			}
+			small := r.submit(t, "alice", "/job.mc", "minic", 1)
+			if got := r.sched.Tick(); got != tc.started {
+				t.Fatalf("pass started %d jobs, want %d", got, tc.started)
+			}
+			if ran := len(small.Snapshot().Nodes) > 0; ran != (tc.started == 1) {
+				t.Fatalf("small job started = %v behind %d blocked jobs", ran, tc.blocked)
+			}
+		})
 	}
 }

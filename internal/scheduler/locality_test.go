@@ -17,14 +17,13 @@ import (
 // run is too small, pack must jump to the first segment that can hold the
 // whole job instead of spanning the boundary.
 func TestPackPolicyPrefersLaterSegmentThatFits(t *testing.T) {
-	g, _ := freeList(t)
 	// Segment 0 has only 2 free nodes, segment 1 all 4.
 	free := []topology.NodeID{
 		{Segment: 0, Index: 0}, {Segment: 0, Index: 1},
 		{Segment: 1, Index: 0}, {Segment: 1, Index: 1}, {Segment: 1, Index: 2}, {Segment: 1, Index: 3},
 		{Segment: 2, Index: 0},
 	}
-	got := PackPolicy{}.Select(g, free, 4)
+	got := PackPolicy{}.Select(free, 4)
 	if len(got) != 4 {
 		t.Fatalf("selected %v", got)
 	}
@@ -35,7 +34,7 @@ func TestPackPolicyPrefersLaterSegmentThatFits(t *testing.T) {
 	}
 	// A job too big for any single segment still runs: fall back to flat
 	// order.
-	got = PackPolicy{}.Select(g, free, 5)
+	got = PackPolicy{}.Select(free, 5)
 	if len(got) != 5 {
 		t.Fatalf("fallback refused a feasible job: %v", got)
 	}

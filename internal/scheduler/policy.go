@@ -13,11 +13,7 @@ type Policy interface {
 	Name() string
 	// Select picks n nodes from free (already in flat order). It returns
 	// nil when the request cannot be satisfied.
-	Select(grid *topology.Grid, free []topology.NodeID, n int) []topology.NodeID
-	// FreeNeeded reports how many free nodes Select must see to place n
-	// ranks, or -1 when it needs the full free list. The scheduler uses it
-	// to bound how much of the free-node index it materializes per attempt.
-	FreeNeeded(n int) int
+	Select(free []topology.NodeID, n int) []topology.NodeID
 }
 
 // PackPolicy fills nodes in flat order, packing a job into as few segments
@@ -28,17 +24,13 @@ type PackPolicy struct{}
 // Name returns "pack".
 func (PackPolicy) Name() string { return "pack" }
 
-// FreeNeeded is -1: the single-segment preference must see every free node,
-// because the first segment with room may sit past the first n entries.
-func (PackPolicy) FreeNeeded(int) int { return -1 }
-
 // Select prefers the first segment whose free run can hold the whole job, so
 // an MPI world lands intra-segment whenever any segment fits it; only a job
 // too big for every segment falls back to the first n free nodes in flat
 // order. Because free is flat-ordered, each segment's nodes form one
 // contiguous run and the scan is a single pass, the same trick SpreadPolicy
 // uses.
-func (PackPolicy) Select(_ *topology.Grid, free []topology.NodeID, n int) []topology.NodeID {
+func (PackPolicy) Select(free []topology.NodeID, n int) []topology.NodeID {
 	if n <= 0 || len(free) < n {
 		return nil
 	}
@@ -62,14 +54,10 @@ type SpreadPolicy struct{}
 // Name returns "spread".
 func (SpreadPolicy) Name() string { return "spread" }
 
-// FreeNeeded is -1: spreading balances across every segment, so it needs
-// the whole free list.
-func (SpreadPolicy) FreeNeeded(int) int { return -1 }
-
 // Select interleaves segments: one node from each segment in turn. Because
 // free is in flat order, each segment's nodes form one contiguous run, so
 // bucketing is a single boundary scan — no per-call map, no sort.
-func (SpreadPolicy) Select(_ *topology.Grid, free []topology.NodeID, n int) []topology.NodeID {
+func (SpreadPolicy) Select(free []topology.NodeID, n int) []topology.NodeID {
 	if n <= 0 || len(free) < n {
 		return nil
 	}

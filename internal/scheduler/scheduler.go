@@ -40,8 +40,10 @@ import (
 type Options struct {
 	// Policy is the node placement policy; nil means PackPolicy.
 	Policy Policy
-	// Backfill lets a later job that fits run when the queue head does not
-	// (simple EASY-style backfill without reservations).
+	// Backfill lets a later job that fits run when the head of the fair
+	// order does not (simple EASY-style backfill without reservations). A
+	// pass steps over at most maxBlockedPerLane (32) blocked jobs of one
+	// owner.
 	Backfill bool
 	// MaxNodesPerJob bounds a single allocation; 0 means 16.
 	MaxNodesPerJob int
@@ -73,11 +75,6 @@ type Options struct {
 	// they show up on /metrics. The job histograms belong to the store
 	// (jobs.Store.SetMetrics).
 	Metrics *metrics.Registry
-	// FairShare replaces the FIFO queue walk with weighted deficit
-	// fair-share across job owners (see fairshare.go). Dispatch order is by
-	// per-owner deficit instead of submission order; FIFO order is kept
-	// within an owner.
-	FairShare bool
 	// Tenant supplies per-user weights and step budgets; nil means every
 	// user weighs 1 and budgets are unlimited. Typically the tenancy
 	// accountant.
@@ -101,7 +98,6 @@ type Scheduler struct {
 	log        *logging.Logger
 	clk        clock.Clock
 	drain      time.Duration
-	fairShare  bool
 	tenant     Tenant
 
 	mu       sync.Mutex
@@ -177,7 +173,6 @@ func New(c *cluster.Cluster, tools *toolchain.Service, store *jobs.Store, fs *vf
 		log:        opts.Logger,
 		clk:        opts.Clock,
 		drain:      opts.DrainTimeout,
-		fairShare:  opts.FairShare,
 		tenant:     opts.Tenant,
 		inFlight:   make(map[string]bool),
 		lanes:      make(map[string]*ownerLane),
@@ -192,9 +187,6 @@ func New(c *cluster.Cluster, tools *toolchain.Service, store *jobs.Store, fs *vf
 	c.SetReleaseNotify(s.Wake)
 	return s
 }
-
-// Policy returns the active placement policy.
-func (s *Scheduler) Policy() Policy { return s.policy }
 
 // Dispatched reports how many jobs have been started.
 func (s *Scheduler) Dispatched() int64 { return s.dispatched.Load() }
@@ -220,7 +212,7 @@ func (s *Scheduler) Wake() {
 	}
 }
 
-// startOutcome classifies one tryStart attempt for the queue walk.
+// startOutcome classifies one tryStart attempt for the dispatch pass.
 type startOutcome int
 
 const (
@@ -233,41 +225,18 @@ const (
 // Tick is synchronous in its scheduling decisions but job execution proceeds
 // in background goroutines.
 //
-// The default pass walks the store's queued-index in submission order; with
-// Options.FairShare it instead dispatches by per-owner deficit (fairshare.go)
-// so one user's backlog cannot starve everyone else. Either way the pass
-// touches only queued jobs (running ones are never snapshotted), and without
-// backfill it stops at the first job that doesn't fit, so a pass costs
-// O(jobs dispatched) amortized rather than O(all active jobs). Pass duration
-// is recorded in the scheduler_pass_seconds histogram.
+// The pass is weighted fair-share across job owners (fairshare.go): each
+// owner's queued jobs form a lane in submission order, and the lane with the
+// greatest deficit goes next, so one user's backlog cannot starve everyone
+// else; with a single owner that is plain submission order. The pass reads
+// only the store's queued-index (running jobs are never snapshotted) and
+// visits every queued job once to refill the lanes, so it costs O(queued
+// jobs), which limits.max_queued_jobs bounds. Pass duration is recorded in
+// the scheduler_pass_seconds histogram.
 func (s *Scheduler) Tick() int {
 	passStart := time.Now()
-	var started int
-	if s.fairShare {
-		started = s.tickFair()
-	} else {
-		started = s.tickFIFO()
-	}
+	started := s.tickFair()
 	s.passTime.Observe(time.Since(passStart).Seconds())
-	return started
-}
-
-// tickFIFO is the seed behavior: strict submission order across all owners.
-func (s *Scheduler) tickFIFO() int {
-	started := 0
-	s.store.ScanQueued(func(job *jobs.Job) bool {
-		switch s.tryStart(job) {
-		case startedJob:
-			started++
-		case skippedJob:
-			// Try the next job: this one is gone or already claimed.
-		case blockedJob:
-			if !s.backfill {
-				return false // FIFO: the head blocks the queue
-			}
-		}
-		return true
-	})
 	return started
 }
 
@@ -322,15 +291,10 @@ func (s *Scheduler) tryStart(job *jobs.Job) startOutcome {
 			return skippedJob
 		}
 		free = s.cluster.FreeGPUNodes()
-	} else if need := s.policy.FreeNeeded(ranks); need >= 0 {
-		// The policy only looks at a bounded prefix of the free list, so
-		// fetch exactly that much: allocation cost tracks the request size,
-		// not the grid size.
-		free = s.cluster.FreeNodesN(need)
 	} else {
 		free = s.cluster.FreeNodes()
 	}
-	nodes := s.policy.Select(s.cluster.Grid(), free, ranks)
+	nodes := s.policy.Select(free, ranks)
 	if nodes == nil {
 		unclaim()
 		return blockedJob // not enough nodes right now
@@ -537,6 +501,3 @@ func (s *Scheduler) StopWithin(drain time.Duration) bool {
 	<-done
 	return false
 }
-
-// ErrNoCapacity is returned by helpers when a request can never fit.
-var ErrNoCapacity = errors.New("scheduler: request exceeds cluster capacity")

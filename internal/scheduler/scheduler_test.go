@@ -347,7 +347,7 @@ func main() {
 
 // --- policy tests -------------------------------------------------------------
 
-func freeList(t *testing.T) (*topology.Grid, []topology.NodeID) {
+func freeList(t *testing.T) []topology.NodeID {
 	t.Helper()
 	g, err := topology.New(4, 4, topology.Params{
 		IntraNode: 1, IntraSegment: 2, InterSegment: 3, BytesPerSecond: 1,
@@ -359,28 +359,28 @@ func freeList(t *testing.T) (*topology.Grid, []topology.NodeID) {
 	for i := range free {
 		free[i] = g.NodeAt(i)
 	}
-	return g, free
+	return free
 }
 
 func TestPackPolicyPacksOneSegment(t *testing.T) {
-	g, free := freeList(t)
-	got := PackPolicy{}.Select(g, free, 4)
+	free := freeList(t)
+	got := PackPolicy{}.Select(free, 4)
 	for _, id := range got {
 		if id.Segment != 0 {
 			t.Fatalf("pack spilled to segment %d: %v", id.Segment, got)
 		}
 	}
-	if (PackPolicy{}).Select(g, free[:2], 3) != nil {
+	if (PackPolicy{}).Select(free[:2], 3) != nil {
 		t.Fatal("pack satisfied an unsatisfiable request")
 	}
-	if (PackPolicy{}).Select(g, free, 0) != nil {
+	if (PackPolicy{}).Select(free, 0) != nil {
 		t.Fatal("pack satisfied n=0")
 	}
 }
 
 func TestSpreadPolicyUsesAllSegments(t *testing.T) {
-	g, free := freeList(t)
-	got := SpreadPolicy{}.Select(g, free, 4)
+	free := freeList(t)
+	got := SpreadPolicy{}.Select(free, 4)
 	segs := map[int]bool{}
 	for _, id := range got {
 		segs[id.Segment] = true
@@ -388,7 +388,7 @@ func TestSpreadPolicyUsesAllSegments(t *testing.T) {
 	if len(segs) != 4 {
 		t.Fatalf("spread used %d segments: %v", len(segs), got)
 	}
-	if (SpreadPolicy{}).Select(g, free[:3], 5) != nil {
+	if (SpreadPolicy{}).Select(free[:3], 5) != nil {
 		t.Fatal("spread satisfied an unsatisfiable request")
 	}
 }
@@ -491,7 +491,7 @@ func TestGPUJobWaitsWhileGPUBusy(t *testing.T) {
 	r := newRig(t, Options{})
 	r.addSource(t, "alice", "/g.mc", helloSrc)
 	// Occupy the single GPU node.
-	gpuNodes := r.clus.FreeNodesWhere(func(n cluster.Node) bool { return n.GPU })
+	gpuNodes := r.clus.FreeGPUNodes()
 	if len(gpuNodes) != 1 {
 		t.Fatalf("gpu nodes = %v", gpuNodes)
 	}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/jobs"
 	"repro/internal/metrics"
+	"repro/internal/tenancy"
 	"repro/internal/toolchain"
 	"repro/internal/vfs"
 )
@@ -19,10 +20,12 @@ import (
 // benchmark times how long the scheduler takes to drain the backlog to
 // terminal states. The program is trivial and the compile is cached after
 // the first job, so the measurement is dominated by the allocate/dispatch/
-// release machinery — the cost this PR's free-set index, sharded store and
-// queued-index walk are meant to bound. The grid=1024 variant scales the
+// release machinery: the free-set index, the sharded store and the
+// fair-share pass over the queued-index. The grid=1024 variant scales the
 // simulated cluster 16× to expose any cost term that grows with the size of
-// the system rather than the work requested.
+// the system rather than the work requested; grid=1024-weighted adds a live
+// tenancy accountant (weights 1/2/4/8 across users, steps charged per run),
+// as a deployment has.
 //
 // Reported metrics: jobs/s (completed jobs per wall second) and the
 // scheduler pass latency histogram (p50/p99 of scheduler_pass_seconds).
@@ -31,11 +34,13 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 		name               string
 		segments, nodesPer int
 		users, jobsPerUser int
+		weighted           bool
 	}{
 		// The paper's 4×16 grid: 200 students, two submissions each.
-		{"grid=64", 4, 16, 200, 2},
+		{"grid=64", 4, 16, 200, 2, false},
 		// Scaling variant: 16×64 = 1024 nodes, 256 users, six jobs each.
-		{"grid=1024", 16, 64, 256, 6},
+		{"grid=1024", 16, 64, 256, 6, false},
+		{"grid=1024-weighted", 16, 64, 256, 6, true},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
@@ -55,16 +60,22 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 				store := jobs.NewStore(0, clk)
 				fs := vfs.New(1<<24, clk)
 				reg := metrics.NewRegistry()
-				s := New(clus, tools, store, fs, Options{
-					WallTime: time.Minute,
-					Clock:    clk,
-					Metrics:  reg,
-				})
+				opts := Options{WallTime: time.Minute, Clock: clk, Metrics: reg}
+				var acct *tenancy.Accountant
+				if tc.weighted {
+					acct = tenancy.New(tenancy.Limits{Weight: 1}, clk)
+					opts.Tenant = acct
+				}
+				s := New(clus, tools, store, fs, opts)
 				passHist = reg.Histogram("scheduler_pass_seconds", nil)
 				for u := 0; u < tc.users; u++ {
-					h := fs.EnsureHome(fmt.Sprintf("user%03d", u))
+					name := fmt.Sprintf("user%03d", u)
+					h := fs.EnsureHome(name)
 					if err := h.WriteFile("/job.mc", []byte(helloSrc)); err != nil {
 						b.Fatal(err)
+					}
+					if acct != nil {
+						acct.SetLimits(name, tenancy.Limits{Weight: 1 << (u % 4)})
 					}
 				}
 				s.Start(5 * time.Millisecond)
