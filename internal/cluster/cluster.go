@@ -219,19 +219,21 @@ func (c *Cluster) Nodes() []Node {
 	return out
 }
 
-// FreeNodes returns the ids of currently allocatable nodes, flat order.
-func (c *Cluster) FreeNodes() []topology.NodeID {
+// FreeNodes appends the ids of currently allocatable nodes to dst, flat
+// order, and returns the extended slice. Pass dst[:0] to reuse a buffer.
+func (c *Cluster) FreeNodes(dst []topology.NodeID) []topology.NodeID {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.free.appendIDs(make([]topology.NodeID, 0, c.free.count), c.grid)
+	return c.free.appendIDs(dst, c.grid)
 }
 
-// FreeGPUNodes returns the ids of allocatable GPU-equipped nodes, flat
-// order, straight from the GPU sub-index.
-func (c *Cluster) FreeGPUNodes() []topology.NodeID {
+// FreeGPUNodes appends the ids of allocatable GPU-equipped nodes to dst,
+// flat order, straight from the GPU sub-index, and returns the extended
+// slice.
+func (c *Cluster) FreeGPUNodes(dst []topology.NodeID) []topology.NodeID {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.freeGPU.appendIDs(make([]topology.NodeID, 0, c.freeGPU.count), c.grid)
+	return c.freeGPU.appendIDs(dst, c.grid)
 }
 
 // FreeCount reports how many nodes are allocatable. O(1): the free set

@@ -71,7 +71,7 @@ func TestNodeLookup(t *testing.T) {
 
 func TestAllocateRelease(t *testing.T) {
 	c, _ := newTestCluster(t)
-	ids := c.FreeNodes()[:4]
+	ids := c.FreeNodes(nil)[:4]
 	if err := c.AllocateNodes("job-1", ids); err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestAllocateRelease(t *testing.T) {
 
 func TestAllocateValidation(t *testing.T) {
 	c, _ := newTestCluster(t)
-	if err := c.AllocateNodes("", c.FreeNodes()[:1]); err == nil {
+	if err := c.AllocateNodes("", c.FreeNodes(nil)[:1]); err == nil {
 		t.Fatal("empty job id accepted")
 	}
 	if err := c.AllocateNodes("j", []topology.NodeID{{Segment: 8, Index: 8}}); !errors.Is(err, ErrUnknownNode) {
@@ -172,7 +172,7 @@ func TestHeartbeatsAndStaleness(t *testing.T) {
 func TestUtilization(t *testing.T) {
 	c, sim := newTestCluster(t)
 	// 32 of 64 nodes busy for 10 minutes → utilization 0.5.
-	if err := c.AllocateNodes("half", c.FreeNodes()[:32]); err != nil {
+	if err := c.AllocateNodes("half", c.FreeNodes(nil)[:32]); err != nil {
 		t.Fatal(err)
 	}
 	sim.Advance(10 * time.Minute)
@@ -197,7 +197,7 @@ func TestUtilizationZeroAtStart(t *testing.T) {
 
 func TestFreeNodesSortedFlat(t *testing.T) {
 	c, _ := newTestCluster(t)
-	free := c.FreeNodes()
+	free := c.FreeNodes(nil)
 	g := c.Grid()
 	for i := 1; i < len(free); i++ {
 		if g.Flat(free[i-1]) >= g.Flat(free[i]) {

@@ -53,6 +53,7 @@ func TestFreeSetMatchesRescan(t *testing.T) {
 	total := c.Size()
 	live := []string{} // jobs with a current allocation
 	nextJob := 0
+	var free, gpu []topology.NodeID // reused every step, as the scheduler does
 	randNode := func() topology.NodeID {
 		if rng.Intn(10) == 0 {
 			return topology.NodeID{Segment: 99, Index: 99} // unknown
@@ -67,7 +68,7 @@ func TestFreeSetMatchesRescan(t *testing.T) {
 			ids := make([]topology.NodeID, 0, n)
 			if rng.Intn(2) == 0 {
 				// A batch that is actually free, when available.
-				if ids = c.FreeNodes(); len(ids) > n {
+				if ids = c.FreeNodes(ids); len(ids) > n {
 					ids = ids[:n]
 				}
 			} else {
@@ -100,15 +101,15 @@ func TestFreeSetMatchesRescan(t *testing.T) {
 			t.Fatalf("step %d: %v", step, err)
 		}
 		wantFree := rescanFree(c, false)
-		if got := c.FreeNodes(); !sameIDs(got, wantFree) {
-			t.Fatalf("step %d: FreeNodes = %v, rescan = %v", step, got, wantFree)
+		if free = c.FreeNodes(free[:0]); !sameIDs(free, wantFree) {
+			t.Fatalf("step %d: FreeNodes = %v, rescan = %v", step, free, wantFree)
 		}
 		if got := c.FreeCount(); got != len(wantFree) {
 			t.Fatalf("step %d: FreeCount = %d, rescan = %d", step, got, len(wantFree))
 		}
 		wantGPU := rescanFree(c, true)
-		if got := c.FreeGPUNodes(); !sameIDs(got, wantGPU) {
-			t.Fatalf("step %d: FreeGPUNodes = %v, rescan = %v", step, got, wantGPU)
+		if gpu = c.FreeGPUNodes(gpu[:0]); !sameIDs(gpu, wantGPU) {
+			t.Fatalf("step %d: FreeGPUNodes = %v, rescan = %v", step, gpu, wantGPU)
 		}
 		if got := c.FreeGPUCount(); got != len(wantGPU) {
 			t.Fatalf("step %d: FreeGPUCount = %d, rescan = %d", step, got, len(wantGPU))
@@ -131,9 +132,10 @@ func TestFreeSetConcurrentOps(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(g)))
+			var nodes []topology.NodeID // this goroutine's buffer
 			for i := 0; i < 300; i++ {
 				id := fmt.Sprintf("job-%d-%d", g, i)
-				nodes := c.FreeNodes()
+				nodes = c.FreeNodes(nodes[:0])
 				if n := 1 + rng.Intn(3); len(nodes) > n {
 					nodes = nodes[:n]
 				}
@@ -190,7 +192,7 @@ func TestGPUNodeCount(t *testing.T) {
 	if got := c.FreeGPUCount(); got != 3 {
 		t.Fatalf("FreeGPUCount = %d, want 3", got)
 	}
-	gpu := c.FreeGPUNodes()
+	gpu := c.FreeGPUNodes(nil)
 	if len(gpu) != 3 {
 		t.Fatalf("FreeGPUNodes = %v", gpu)
 	}

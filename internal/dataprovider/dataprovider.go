@@ -169,6 +169,10 @@ type Status struct {
 	LastSnapshot time.Time `json:"last_snapshot,omitzero"`
 	// SnapshotBytes is the size of the latest snapshot image.
 	SnapshotBytes int64 `json:"snapshot_bytes"`
+	// Failed is the text of the WAL error that failed the provider ("" while
+	// it is healthy). Once it is set, every Sync and Snapshot returns that
+	// error until a restart recovers the log's valid prefix.
+	Failed string `json:"failed,omitempty"`
 }
 
 // Memory is the no-op provider: every record is dropped, Load finds nothing.

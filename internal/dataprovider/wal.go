@@ -98,8 +98,9 @@ func decodeFrames(data []byte) (recs []Record, validLen int) {
 type DurableOptions struct {
 	// Fsync is the policy: FsyncAlways (default) or FsyncNever.
 	Fsync string
-	// Metrics receives wal_append_seconds and snapshot_seconds histograms;
-	// nil disables instrumentation.
+	// Metrics receives the wal_append_seconds and snapshot_seconds
+	// histograms and the persistence_failed gauge; nil disables
+	// instrumentation.
 	Metrics *metrics.Registry
 }
 
@@ -144,7 +145,8 @@ type Durable struct {
 	snapshots atomic.Int64
 	walBytes  atomic.Int64
 	snapBytes atomic.Int64
-	lastSnap  atomic.Int64 // unix nanos; 0 = never
+	lastSnap  atomic.Int64           // unix nanos; 0 = never
+	failMsg   atomic.Pointer[string] // failed's text, published by fail
 
 	appendHist *metrics.Histogram
 	snapHist   *metrics.Histogram
@@ -175,6 +177,12 @@ func NewDurable(dir string, opts DurableOptions) (*Durable, error) {
 	if opts.Metrics != nil {
 		d.appendHist = opts.Metrics.Histogram("wal_append_seconds", nil)
 		d.snapHist = opts.Metrics.Histogram("snapshot_seconds", nil)
+		opts.Metrics.RegisterFunc("persistence_failed", func() int64 {
+			if d.failMsg.Load() != nil {
+				return 1
+			}
+			return 0
+		})
 	}
 
 	snap, err := os.ReadFile(filepath.Join(dir, snapName))
@@ -282,6 +290,9 @@ func (d *Durable) Status() Status {
 	if ns := d.lastSnap.Load(); ns != 0 {
 		st.LastSnapshot = time.Unix(0, ns)
 	}
+	if msg := d.failMsg.Load(); msg != nil {
+		st.Failed = *msg
+	}
 	return st
 }
 
@@ -368,7 +379,7 @@ func (d *Durable) commit(batch []request) {
 	}
 	if d.failed == nil && nrec > 0 {
 		if _, err := d.wal.Write(d.buf.Bytes()); err != nil {
-			d.failed = fmt.Errorf("dataprovider: writing WAL: %w", err)
+			d.fail(fmt.Errorf("dataprovider: writing WAL: %w", err))
 		} else {
 			d.walBytes.Add(int64(d.buf.Len()))
 			d.records.Add(int64(nrec))
@@ -393,12 +404,21 @@ func (d *Durable) commit(batch []request) {
 	}
 }
 
+// fail latches err as the committer's failure and publishes its text to
+// Status and the persistence_failed gauge. It returns err.
+func (d *Durable) fail(err error) error {
+	d.failed = err
+	msg := err.Error()
+	d.failMsg.Store(&msg)
+	return err
+}
+
 // syncWAL fsyncs the WAL. A failure latches and is never retried: after a
 // failed fsync the kernel may drop the dirty pages and report the next
 // fsync clean.
 func (d *Durable) syncWAL() {
 	if err := d.wal.Sync(); err != nil {
-		d.failed = fmt.Errorf("dataprovider: syncing WAL: %w", err)
+		d.fail(fmt.Errorf("dataprovider: syncing WAL: %w", err))
 		return
 	}
 	d.fsyncs.Add(1)
@@ -444,12 +464,10 @@ func (d *Durable) doSnapshot(capture func() ([]byte, error)) error {
 	// A crash here leaves the old WAL alongside the new snapshot; replay is
 	// idempotent, so applying those already-folded records twice is safe.
 	if err := d.wal.Truncate(0); err != nil {
-		d.failed = fmt.Errorf("dataprovider: truncating WAL: %w", err)
-		return d.failed
+		return d.fail(fmt.Errorf("dataprovider: truncating WAL: %w", err))
 	}
 	if _, err := d.wal.Seek(0, 0); err != nil {
-		d.failed = fmt.Errorf("dataprovider: seeking WAL: %w", err)
-		return d.failed
+		return d.fail(fmt.Errorf("dataprovider: seeking WAL: %w", err))
 	}
 	if d.opts.Fsync == FsyncAlways {
 		d.syncWAL()

@@ -5,9 +5,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // encode frames the records the way the committer does.
@@ -340,7 +343,11 @@ func TestDurableRejectsBadFsyncPolicy(t *testing.T) {
 // batch of async records fails to reach the WAL, no later barrier may
 // acknowledge anything, even a barrier whose own batch writes nothing.
 func TestDurableFailedWriteFailsLaterBarriers(t *testing.T) {
-	d := openDurable(t, t.TempDir(), DurableOptions{Fsync: FsyncAlways})
+	reg := metrics.NewRegistry()
+	d := openDurable(t, t.TempDir(), DurableOptions{Fsync: FsyncAlways, Metrics: reg})
+	if failed, gauge := d.Status().Failed, reg.Snapshot()["persistence_failed"]; failed != "" || gauge != 0 {
+		t.Fatalf("healthy provider reports failed %q, persistence_failed %d; want \"\" and 0", failed, gauge)
+	}
 	d.wal.Close() // every later write to the log fails
 	d.AppendAsync(rec(KindJobTransition, "lost"))
 	// Let the committer take the record in a batch of its own, with no
@@ -357,8 +364,15 @@ func TestDurableFailedWriteFailsLaterBarriers(t *testing.T) {
 	if err == nil || captured {
 		t.Fatalf("Snapshot on a failed provider: err %v, captured %v; want an error and no capture", err, captured)
 	}
-	if got := d.Status().WALRecords; got != 0 {
-		t.Errorf("WALRecords = %d, want 0", got)
+	st := d.Status()
+	if st.WALRecords != 0 {
+		t.Errorf("WALRecords = %d, want 0", st.WALRecords)
+	}
+	if !strings.Contains(st.Failed, "writing WAL") {
+		t.Errorf("Status().Failed = %q, want the write error", st.Failed)
+	}
+	if gauge := reg.Snapshot()["persistence_failed"]; gauge != 1 {
+		t.Errorf("persistence_failed = %d, want 1", gauge)
 	}
 }
 

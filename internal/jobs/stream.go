@@ -10,27 +10,32 @@ import (
 // defaultStreamLimit is the per-job output retention when none is configured.
 const defaultStreamLimit = 1 << 20
 
-// defaultChunkSize is the allocation unit of a stream's ring. Chunks are
-// allocated once, on first touch, and reused forever: the producer's write
-// path never reallocates.
+// defaultChunkSize is the allocation unit of a stream's ring. A chunk is
+// allocated when the producer first reaches its slot and is reused on every
+// later lap, so a producer writing through a full ring never allocates.
 const defaultChunkSize = 4096
 
-// Stream is the merged output of a job's ranks, built for fan-out: a
-// fixed-capacity chunked ring buffer addressed by monotonically increasing
-// byte positions ("sequence numbers"). Producers append under a short
-// critical section with zero per-write allocation. Any number of watchers
-// attach at any sequence, catch up from the oldest retained byte, then tail
-// via per-watcher notification channels — there is no broadcast thundering
-// herd, and a slow watcher never blocks the producer: bytes it failed to
-// read in time are overwritten and surface as an explicit dropped count on
-// its next event.
+// firstChunkMin is the size the first chunk starts at. It doubles as the job
+// writes, up to the chunk size, so a job that prints one line keeps about a
+// line of buffer after it finishes.
+const firstChunkMin = 64
+
+// Stream is the merged output of a job's ranks, built for fan-out: a chunked
+// ring buffer addressed by monotonically increasing byte positions ("sequence
+// numbers") that grows with the job's output up to its limit. Producers
+// append under a short critical section; once every chunk is full size, a
+// write allocates nothing. Any number of watchers attach at any sequence,
+// catch up from the oldest retained byte, then tail via per-watcher
+// notification channels — there is no broadcast thundering herd, and a slow
+// watcher never blocks the producer: bytes it failed to read in time are
+// overwritten and surface as an explicit dropped count on its next event.
 //
 // Positions count from the true start of the stream, so sequence numbers
 // are stable across retention drops and across watchers.
 type Stream struct {
 	mu     sync.Mutex
-	chunks [][]byte // ring of nslots lazily-allocated csize-byte slots
-	csize  int      // bytes per chunk slot
+	chunks [][]byte // ring slots up to the highest touched; at most nslots
+	csize  int      // bytes per full chunk
 	nslots int
 	limit  int   // max retained bytes; limit <= (nslots-1)*csize
 	start  int64 // position of the oldest retained byte
@@ -38,8 +43,8 @@ type Stream struct {
 	closed bool
 
 	wmu      sync.RWMutex
-	watchers map[*Watcher]struct{}
-	peak     int // high-water mark of concurrent watchers
+	watchers map[*Watcher]struct{} // made on the first Watch
+	peak     int                   // high-water mark of concurrent watchers
 }
 
 // NewStream returns a Stream retaining at most limit bytes (0 means 1 MiB).
@@ -57,22 +62,39 @@ func NewStream(limit int) *Stream {
 	// filling never overlaps the slot holding the oldest retained byte, so
 	// reads and the in-progress write can never collide in the ring.
 	nslots := (limit+csize-1)/csize + 1
-	return &Stream{
-		chunks:   make([][]byte, nslots),
-		csize:    csize,
-		nslots:   nslots,
-		limit:    limit,
-		watchers: make(map[*Watcher]struct{}),
-	}
+	return &Stream{csize: csize, nslots: nslots, limit: limit}
 }
 
-// slotFor maps a stream position to its ring slot, allocating on first use.
-func (s *Stream) slotFor(pos int64) []byte {
-	i := int(pos / int64(s.csize) % int64(s.nslots))
-	if s.chunks[i] == nil {
-		s.chunks[i] = make([]byte, s.csize)
+// slotIndex maps a stream position to its ring slot.
+func (s *Stream) slotIndex(pos int64) int {
+	return int(pos / int64(s.csize) % int64(s.nslots))
+}
+
+// growSlot makes slot i hold at least end bytes for a write at pos. The
+// table grows to the slot, never past nslots. The first chunk of the stream
+// (positions below csize) doubles from firstChunkMin; any other chunk is
+// allocated at full size, and a short first chunk reached again on a later
+// lap is replaced by a full one. Bytes already in the slot are kept.
+func (s *Stream) growSlot(i int, pos int64, end int) {
+	if i >= len(s.chunks) {
+		if i >= cap(s.chunks) {
+			t := make([][]byte, len(s.chunks), min(max(i+1, 2*cap(s.chunks)), s.nslots))
+			copy(t, s.chunks)
+			s.chunks = t
+		}
+		s.chunks = s.chunks[:i+1]
 	}
-	return s.chunks[i]
+	n := s.csize
+	if pos < int64(s.csize) {
+		n = max(firstChunkMin, 2*len(s.chunks[i]))
+		for n < end {
+			n *= 2
+		}
+		n = min(n, s.csize)
+	}
+	c := make([]byte, n)
+	copy(c, s.chunks[i])
+	s.chunks[i] = c
 }
 
 // Write appends p; it never fails and never blocks on watchers. Writes after
@@ -101,10 +123,13 @@ func (s *Stream) Write(p []byte) (int, error) {
 		s.start = floor
 	}
 	for pos := s.total - int64(len(data)); pos < s.total; {
-		c := s.slotFor(pos)
 		off := int(pos % int64(s.csize))
-		m := copy(c[off:], data[len(data)-int(s.total-pos):])
-		pos += int64(m)
+		end := min(s.csize, off+int(s.total-pos))
+		i := s.slotIndex(pos)
+		if i >= len(s.chunks) || len(s.chunks[i]) < end {
+			s.growSlot(i, pos, end)
+		}
+		pos += int64(copy(s.chunks[i][off:end], data[len(data)-int(s.total-pos):]))
 	}
 	s.mu.Unlock()
 	s.notifyAll()
@@ -144,7 +169,7 @@ func (s *Stream) Len() int64 {
 func (s *Stream) copyRange(from, to int64) []byte {
 	out := make([]byte, to-from)
 	for pos := from; pos < to; {
-		c := s.slotFor(pos)
+		c := s.chunks[s.slotIndex(pos)]
 		off := int(pos % int64(s.csize))
 		end := s.csize
 		if left := int(to - pos); left < end-off {
@@ -249,6 +274,9 @@ func (s *Stream) Watch(from int64) *Watcher {
 	s.mu.Unlock()
 	w := &Watcher{s: s, notify: make(chan struct{}, 1), pos: from}
 	s.wmu.Lock()
+	if s.watchers == nil {
+		s.watchers = make(map[*Watcher]struct{})
+	}
 	s.watchers[w] = struct{}{}
 	if n := len(s.watchers); n > s.peak {
 		s.peak = n

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // pattern is the deterministic byte at stream position p, so any received
@@ -205,6 +206,91 @@ func TestStreamTailAttach(t *testing.T) {
 	ev, ok := w.TryNext(0)
 	if !ok || string(ev.Data) != "fresh" || ev.Dropped != 0 {
 		t.Fatalf("tail watcher event = %+v, ok=%v", ev, ok)
+	}
+}
+
+// ringBytes is the buffer memory a stream holds: its slot table and chunks.
+func ringBytes(s *Stream) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := cap(s.chunks) * int(unsafe.Sizeof([]byte(nil)))
+	for _, c := range s.chunks {
+		n += cap(c)
+	}
+	return n
+}
+
+// TestStreamFinishedJobKeepsItsOutput pins the per-job footprint: a finished
+// job that printed one short line keeps about that line of buffer, not a
+// whole chunk and a full-size slot table, however large its limit.
+func TestStreamFinishedJobKeepsItsOutput(t *testing.T) {
+	s := NewStream(0)
+	if n := ringBytes(s); n != 0 {
+		t.Fatalf("unwritten stream holds %d bytes of buffer, want 0", n)
+	}
+	s.Write([]byte("ok\n"))
+	s.Close()
+	if n := ringBytes(s); n > 128 {
+		t.Fatalf("closed stream holding %q keeps %d bytes of buffer, want at most 128", s.String(), n)
+	}
+	if got := s.String(); got != "ok\n" {
+		t.Fatalf("retained %q", got)
+	}
+}
+
+// TestStreamPastLimitHoldsRetentionWindow writes a stream through its first
+// chunk's growth and several laps of its ring in uneven pieces. It must
+// retain exactly its limit, read it back byte-exact from offsets across the
+// window, and hold no more than the full ring.
+func TestStreamPastLimitHoldsRetentionWindow(t *testing.T) {
+	const limit = 4 * defaultChunkSize
+	s := NewStream(limit)
+	r := rand.New(rand.NewSource(7))
+	buf := make([]byte, 3*defaultChunkSize)
+	var pos int64
+	for pos < 5*limit {
+		n := 1 + r.Intn(100)
+		if r.Intn(8) == 0 {
+			n = 1 + r.Intn(len(buf))
+		}
+		for i := 0; i < n; i++ {
+			buf[i] = pattern(pos + int64(i))
+		}
+		s.Write(buf[:n])
+		pos += int64(n)
+	}
+	st := s.Stats()
+	if st.Total != pos || st.Retained != limit || st.Dropped != pos-limit {
+		t.Fatalf("stats = %+v, want total %d retained %d", st, pos, limit)
+	}
+	for _, from := range []int64{0, pos - limit, pos - limit + 1, pos - defaultChunkSize - 3, pos - 1, pos} {
+		data, next, dropped, _ := s.ReadFrom(from, 0)
+		start := max(from, pos-limit)
+		if next != pos || dropped != start-from || int64(len(data)) != pos-start {
+			t.Fatalf("ReadFrom(%d): %d bytes, next %d, dropped %d", from, len(data), next, dropped)
+		}
+		for i, b := range data {
+			if want := pattern(start + int64(i)); b != want {
+				t.Fatalf("ReadFrom(%d): byte at position %d = %d, want %d", from, start+int64(i), b, want)
+			}
+		}
+	}
+	full := (limit/defaultChunkSize + 1) * (defaultChunkSize + int(unsafe.Sizeof([]byte(nil))))
+	if n := ringBytes(s); n > full {
+		t.Fatalf("ring holds %d bytes, more than the full ring's %d", n, full)
+	}
+}
+
+// TestStreamWriteSteadyStateZeroAlloc gates BenchmarkStreamWrite's claim in
+// the test suite: once the ring has wrapped, a write allocates nothing.
+func TestStreamWriteSteadyStateZeroAlloc(t *testing.T) {
+	s := NewStream(1 << 16)
+	buf := bytes.Repeat([]byte{'x'}, 1024)
+	for i := 0; i < 2*(1<<16)/len(buf); i++ {
+		s.Write(buf)
+	}
+	if allocs := testing.AllocsPerRun(200, func() { s.Write(buf) }); allocs != 0 {
+		t.Fatalf("steady-state Write: %v allocs/op, want 0", allocs)
 	}
 }
 

@@ -129,8 +129,9 @@ type Machine struct {
 
 	outMu sync.Mutex
 	out   io.Writer
-	in    *bufio.Reader
 	inMu  sync.Mutex
+	inSrc io.Reader
+	in    *bufio.Reader // wraps inSrc on the first readline()
 
 	memMu   sync.Mutex // guards globals and array elements
 	globals []Value
@@ -138,7 +139,8 @@ type Machine struct {
 	steps    atomic.Int64
 	budget   int64
 	rngMu    sync.Mutex
-	rng      *rand.Rand
+	seed     int64
+	rng      *rand.Rand // seeded on the first random()
 	threads  sync.WaitGroup
 	threadID atomic.Int64
 
@@ -168,10 +170,10 @@ func NewMachine(u *Unit, cfg MachineConfig) *Machine {
 		hooks:   cfg.Hooks,
 		ctx:     cfg.Ctx,
 		out:     cfg.Out,
-		in:      bufio.NewReader(cfg.In),
+		inSrc:   cfg.In,
 		globals: make([]Value, len(u.Globals)),
 		budget:  cfg.StepBudget,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		seed:    cfg.Seed,
 	}
 }
 
@@ -777,6 +779,9 @@ func biSqrt(_ *Machine, args []Value, line int) (Value, error) {
 func biReadline(m *Machine, _ []Value, _ int) (Value, error) {
 	m.inMu.Lock()
 	defer m.inMu.Unlock()
+	if m.in == nil {
+		m.in = bufio.NewReader(m.inSrc)
+	}
 	line, err := m.in.ReadString('\n')
 	if err != nil && line == "" {
 		return StringValue(""), nil // EOF → empty string
@@ -789,6 +794,9 @@ func biRandom(m *Machine, args []Value, line int) (Value, error) {
 		return Value{}, errAt(line, 0, "random needs a positive int bound")
 	}
 	m.rngMu.Lock()
+	if m.rng == nil {
+		m.rng = rand.New(rand.NewSource(m.seed))
+	}
 	v := m.rng.Int63n(args[0].I)
 	m.rngMu.Unlock()
 	return IntValue(v), nil

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -478,6 +479,37 @@ func TestRandomDeterministicPerSeed(t *testing.T) {
 	}
 	if a != b {
 		t.Fatalf("same seed produced different streams: %q vs %q", a, b)
+	}
+}
+
+// TestMachineBuildsRNGAndReaderOnFirstUse: a rank seeds its RNG and wraps
+// its input only when the program first calls random() or readline(), and
+// random() still draws the seed's sequence.
+func TestMachineBuildsRNGAndReaderOnFirstUse(t *testing.T) {
+	u, err := CompileSource(`func main() { println(1 + 2); }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMachine(u, MachineConfig{In: strings.NewReader("unread\n"), Seed: 1})
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if m.rng != nil || m.in != nil {
+		t.Fatalf("a program calling neither random() nor readline() left rng %v, reader %v", m.rng != nil, m.in != nil)
+	}
+
+	u, err = CompileSource(`func main() { println(readline()); println(random(1000)); println(random(1000)); }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	m = NewMachine(u, MachineConfig{Out: &buf, In: strings.NewReader("line\n"), Seed: 7})
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	ref := rand.New(rand.NewSource(7))
+	if want := fmt.Sprintf("line\n%d\n%d\n", ref.Int63n(1000), ref.Int63n(1000)); buf.String() != want {
+		t.Fatalf("output = %q, want %q", buf.String(), want)
 	}
 }
 

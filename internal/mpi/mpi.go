@@ -140,11 +140,14 @@ type World struct {
 	overhead time.Duration
 	done     <-chan struct{} // nil (blocks forever) unless Options.Ctx is set
 
-	// queues[src][dst] carries messages; buffered so sends are async up to
-	// the buffer depth, like a real MPI eager protocol. The channels are
-	// never closed — Close signals through closeCh instead, so a sender
-	// that raced past the closed check can never panic on a closed channel.
-	queues [][]chan message
+	// queues[src*size+dst] carries messages; buffered so sends are async up
+	// to the buffer depth, like a real MPI eager protocol. A pair's channel
+	// is created on its first send or receive (see fifo), since most
+	// programs use few of the size² pairs. The channels are never closed —
+	// Close signals through closeCh instead, so a sender that raced past the
+	// closed check can never panic on a closed channel.
+	queues []atomic.Pointer[chan message]
+	depth  int
 
 	closed    atomic.Bool
 	closeCh   chan struct{}
@@ -213,15 +216,10 @@ func New(grid *topology.Grid, places []topology.NodeID, opts Options) (*World, e
 		algo:     opts.Algorithm,
 		overhead: overhead,
 		done:     done,
-		queues:   make([][]chan message, size),
+		queues:   make([]atomic.Pointer[chan message], size*size),
+		depth:    depth,
 		closeCh:  make(chan struct{}),
 		comms:    make([]*Comm, size),
-	}
-	for i := range w.queues {
-		w.queues[i] = make([]chan message, size)
-		for j := range w.queues[i] {
-			w.queues[i][j] = make(chan message, depth)
-		}
 	}
 	w.allRanks = make([]int, size)
 	for r := 0; r < size; r++ {
@@ -269,6 +267,21 @@ func (w *World) Comm(r int) (*Comm, error) {
 	return w.comms[r], nil
 }
 
+// fifo returns the src→dst queue, creating it on the pair's first send or
+// receive. When both ends race to create it, the CAS keeps one channel and
+// both use it.
+func (w *World) fifo(src, dst int) chan message {
+	p := &w.queues[src*w.size+dst]
+	if q := p.Load(); q != nil {
+		return *q
+	}
+	q := make(chan message, w.depth)
+	if p.CompareAndSwap(nil, &q) {
+		return q
+	}
+	return *p.Load()
+}
+
 // Close tears the world down; subsequent sends and would-block receives fail
 // with ErrWorldClosed, and undelivered messages are discarded. Close is
 // idempotent and safe to call concurrently with in-flight Send/Recv: the
@@ -280,17 +293,20 @@ func (w *World) Close() {
 		close(w.closeCh)
 		// Reclaim payload leases still parked in the queues. A sender that
 		// already passed the closed check may deposit one more message after
-		// this sweep; it is simply left to the GC.
-		for _, row := range w.queues {
-			for _, q := range row {
-			drain:
-				for {
-					select {
-					case m := <-q:
-						m.release()
-					default:
-						break drain
-					}
+		// this sweep, or create its pair's queue after it; either is simply
+		// left to the GC.
+		for i := range w.queues {
+			q := w.queues[i].Load()
+			if q == nil {
+				continue
+			}
+		drain:
+			for {
+				select {
+				case m := <-*q:
+					m.release()
+				default:
+					break drain
 				}
 			}
 		}
@@ -387,7 +403,7 @@ func (c *Comm) Send(dst, tag int, data []byte) error {
 func (c *Comm) deliver(dst int, m message, nbytes int64) error {
 	w := c.world
 	m.sendTime = time.Duration(c.vtime.Add(int64(w.overhead)))
-	q := w.queues[c.rank][dst]
+	q := w.fifo(c.rank, dst)
 	select {
 	case q <- m:
 	default:
@@ -414,7 +430,7 @@ func (c *Comm) recvMsg(src, tag int) (message, error) {
 	if src < 0 || src >= w.size {
 		return message{}, fmt.Errorf("%w: src %d", ErrBadRank, src)
 	}
-	q := w.queues[src][c.rank]
+	q := w.fifo(src, c.rank)
 	var m message
 	select {
 	case m = <-q:

@@ -1,10 +1,13 @@
 package mpi
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -172,6 +175,91 @@ func TestClosedWorld(t *testing.T) {
 	}
 	if _, err := c.Recv(1, 0); !errors.Is(err, ErrWorldClosed) {
 		t.Fatalf("recv on closed world err = %v", err)
+	}
+}
+
+// fifos counts the pair queues a world has created.
+func fifos(w *World) int {
+	n := 0
+	for i := range w.queues {
+		if w.queues[i].Load() != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestWorldCreatesOnlyUsedFIFOs: a pair's queue exists once the pair has
+// carried a message, so a 16-rank allreduce builds the 30 queues its
+// algorithm uses, not all 256, wherever the ranks sit, and a world whose
+// ranks never communicate builds none.
+func TestWorldCreatesOnlyUsedFIFOs(t *testing.T) {
+	g := testGrid(t)
+	const size = 16
+	oneSegment := placeRanks(g, size)
+	fourSegments := make([]topology.NodeID, size)
+	for i := range fourSegments {
+		fourSegments[i] = topology.NodeID{Segment: i % g.Segments(), Index: i / g.Segments()}
+	}
+	for _, algo := range []Algorithm{Linear, Tree, Hier} {
+		for pname, places := range map[string][]topology.NodeID{"one-segment": oneSegment, "four-segments": fourSegments} {
+			w, err := New(g, places, Options{Algorithm: algo})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := fifos(w); n != 0 {
+				t.Fatalf("%s/%s: fresh world has %d queues, want 0", algo, pname, n)
+			}
+			runRanks(t, w, func(c *Comm) error {
+				sum, err := c.AllReduce(OpSum, float64(c.Rank()))
+				if err == nil && sum != size*(size-1)/2 {
+					err = fmt.Errorf("allreduce sum %v", sum)
+				}
+				return err
+			})
+			if n := fifos(w); n != 30 {
+				t.Errorf("%s/%s: allreduce created %d queues, want 30", algo, pname, n)
+			}
+			w.Close()
+		}
+	}
+
+	w := newWorld(t, size, Options{})
+	runRanks(t, w, func(c *Comm) error {
+		c.Tick(time.Microsecond)
+		return nil
+	})
+	if n := fifos(w); n != 0 {
+		t.Fatalf("ranks that never communicate created %d queues, want 0", n)
+	}
+}
+
+// TestFIFOFirstUseRace starts a pair's sender and receiver together on a
+// fresh world, many times over. Both ends must land on one queue: were
+// they to create one each, the receive would wait until the world's
+// deadline. Run under -race.
+func TestFIFOFirstUseRace(t *testing.T) {
+	for i := 0; i < 1000; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		w := newWorld(t, 2, Options{Ctx: ctx})
+		var arrived atomic.Int32
+		runRanks(t, w, func(c *Comm) error {
+			for arrived.Add(1); arrived.Load() < 2; {
+				runtime.Gosched()
+			}
+			if c.Rank() == 0 {
+				return c.Send(1, 3, []byte{byte(i)})
+			}
+			got, err := c.Recv(0, 3)
+			if err == nil && (len(got) != 1 || got[0] != byte(i)) {
+				err = fmt.Errorf("received %v", got)
+			}
+			return err
+		})
+		cancel()
+		if n := fifos(w); n != 1 {
+			t.Fatalf("round %d: %d queues for one pair", i, n)
+		}
 	}
 }
 

@@ -39,8 +39,13 @@ func (p *fakePersist) Restore(r io.Reader) error {
 	return nil
 }
 
+// Status reports the sync error as the provider's latched failure.
 func (p *fakePersist) Status() dataprovider.Status {
-	return dataprovider.Status{Mode: "durable", Dir: "/tmp/x", Fsync: "always", WALRecords: 7}
+	st := dataprovider.Status{Mode: "durable", Dir: "/tmp/x", Fsync: "always", WALRecords: 7}
+	if p.syncErr != nil {
+		st.Failed = p.syncErr.Error()
+	}
+	return st
 }
 
 func (p *fakePersist) Sync() error {
@@ -148,16 +153,17 @@ func TestPersistenceStatusShape(t *testing.T) {
 	s.server.SetPersistence(&fakePersist{})
 	admin := registerWithRole(t, s, "root1", auth.RoleAdmin)
 	var got struct {
-		Mode       string `json:"mode"`
-		Dir        string `json:"dir"`
-		Fsync      string `json:"fsync"`
-		WALRecords int64  `json:"wal_records"`
-		Time       string `json:"time"`
+		Mode       string  `json:"mode"`
+		Dir        string  `json:"dir"`
+		Fsync      string  `json:"fsync"`
+		WALRecords int64   `json:"wal_records"`
+		Failed     *string `json:"failed"`
+		Time       string  `json:"time"`
 	}
 	if st := admin.getJSON("/api/admin/persistence", &got); st != http.StatusOK {
 		t.Fatalf("status = %d", st)
 	}
-	if got.Mode != "durable" || got.Fsync != "always" || got.WALRecords != 7 || got.Time == "" {
+	if got.Mode != "durable" || got.Fsync != "always" || got.WALRecords != 7 || got.Failed != nil || got.Time == "" {
 		t.Fatalf("status body = %+v", got)
 	}
 }
@@ -185,12 +191,14 @@ func TestMutationsCrossSyncBarrier(t *testing.T) {
 
 // TestFailedSyncIsNotAcknowledged: when the durability barrier fails, a
 // mutating request answers a 503 internal envelope instead of its 2xx, so
-// the portal never acknowledges a write it cannot keep.
+// the portal never acknowledges a write it cannot keep, and the admin
+// status names the failure.
 func TestFailedSyncIsNotAcknowledged(t *testing.T) {
 	s := newStack(t)
 	fake := &fakePersist{}
 	s.server.SetPersistence(fake)
 	c := s.register(t, "student1", "password1")
+	admin := registerWithRole(t, s, "root1", auth.RoleAdmin)
 	fake.syncErr = errors.New("fsync: input/output error")
 	for _, req := range []struct {
 		method, path string
@@ -210,5 +218,11 @@ func TestFailedSyncIsNotAcknowledged(t *testing.T) {
 			env.Error.Code != CodeInternal || env.Error.Message != "persistence sync failed" {
 			t.Errorf("%s %s with a failing sync = %d %s, want a 503 internal envelope", req.method, req.path, st, body)
 		}
+	}
+	var status struct {
+		Failed string `json:"failed"`
+	}
+	if st := admin.getJSON("/api/admin/persistence", &status); st != http.StatusOK || status.Failed != fake.syncErr.Error() {
+		t.Fatalf("persistence status = %d, failed %q; want 200 naming %q", st, status.Failed, fake.syncErr)
 	}
 }

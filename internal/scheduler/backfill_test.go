@@ -18,7 +18,7 @@ func TestBackfillDoesNotStarveQueueHead(t *testing.T) {
 
 	// Two blockers: 53 + 8 nodes held, 3 free. The head needs 8 and is
 	// blocked; so is anything needing 4.
-	free := r.clus.FreeNodes()
+	free := r.clus.FreeNodes(nil)
 	if err := r.clus.AllocateNodes("blocker-big", free[:53]); err != nil {
 		t.Fatal(err)
 	}

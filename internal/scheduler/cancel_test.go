@@ -146,7 +146,7 @@ func TestEventDrivenDispatchOnSubmit(t *testing.T) {
 func TestEventDrivenDispatchOnRelease(t *testing.T) {
 	r := newRig(t, Options{})
 	r.addSource(t, "alice", "/h.mc", helloSrc)
-	if err := r.clus.AllocateNodes("blocker", r.clus.FreeNodes()); err != nil {
+	if err := r.clus.AllocateNodes("blocker", r.clus.FreeNodes(nil)); err != nil {
 		t.Fatal(err)
 	}
 	r.sched.Start(time.Hour)

@@ -198,7 +198,7 @@ func TestFairShareBlockedHeadEndsPassWithoutBackfill(t *testing.T) {
 	r.addSource(t, "alice", "/big.mc", helloSrc)
 	r.addSource(t, "bob", "/small.mc", helloSrc)
 
-	free := r.clus.FreeNodes()
+	free := r.clus.FreeNodes(nil)
 	if err := r.clus.AllocateNodes("blocker", free[:61]); err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestFairShareBackfillsAroundBlockedLane(t *testing.T) {
 	r.addSource(t, "alice", "/big.mc", helloSrc)
 	r.addSource(t, "bob", "/small.mc", helloSrc)
 
-	free := r.clus.FreeNodes()
+	free := r.clus.FreeNodes(nil)
 	if err := r.clus.AllocateNodes("blocker", free[:61]); err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestSingleOwnerPassKeepsSubmissionOrder(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				r := newRig(t, Options{Backfill: backfill})
 				r.addSource(t, "alice", "/job.mc", blockingSrc)
-				free := r.clus.FreeNodes()
+				free := r.clus.FreeNodes(nil)
 				// 56 of 64 nodes busy; each later round frees 8 of them.
 				for b := 0; b < 7; b++ {
 					if err := r.clus.AllocateNodes(fmt.Sprintf("blocker-%d", b), free[8*b:8*b+8]); err != nil {
@@ -380,7 +380,7 @@ func TestBackfillProbeBoundPerLane(t *testing.T) {
 		t.Run(fmt.Sprintf("blocked=%d", tc.blocked), func(t *testing.T) {
 			r := newRig(t, Options{Backfill: true})
 			r.addSource(t, "alice", "/job.mc", helloSrc)
-			free := r.clus.FreeNodes()
+			free := r.clus.FreeNodes(nil)
 			if err := r.clus.AllocateNodes("blocker", free[:60]); err != nil {
 				t.Fatal(err)
 			}

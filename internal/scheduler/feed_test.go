@@ -30,7 +30,7 @@ func TestEventLogFailurePath(t *testing.T) {
 func TestEventLogCancelled(t *testing.T) {
 	r := newRig(t, Options{})
 	r.addSource(t, "alice", "/h.mc", helloSrc)
-	if err := r.clus.AllocateNodes("blocker", r.clus.FreeNodes()); err != nil {
+	if err := r.clus.AllocateNodes("blocker", r.clus.FreeNodes(nil)); err != nil {
 		t.Fatal(err)
 	}
 	j := r.submit(t, "alice", "/h.mc", "minic", 1)

@@ -12,7 +12,9 @@ type Policy interface {
 	// Name identifies the policy in logs and benches.
 	Name() string
 	// Select picks n nodes from free (already in flat order). It returns
-	// nil when the request cannot be satisfied.
+	// nil when the request cannot be satisfied. The scheduler reuses free
+	// for its next placement, so Select must return fresh storage and not
+	// keep free.
 	Select(free []topology.NodeID, n int) []topology.NodeID
 }
 

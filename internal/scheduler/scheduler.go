@@ -109,6 +109,7 @@ type Scheduler struct {
 	lanes   map[string]*ownerLane
 	vclock  int64
 	laneSeq uint64
+	free    []topology.NodeID // tryStart's free-node buffer, reused by every placement
 
 	// wake is signalled by job submission and node release; the dispatch
 	// loop selects on it so a startable job never waits out a poll tick.
@@ -244,7 +245,8 @@ func (s *Scheduler) Tick() int {
 // before any resource decision and the job's state is re-verified under it:
 // the queued-index walk observed the job outside any claim, so a job
 // cancelled since then must not enter the pipeline, and two concurrent
-// Ticks must not both dispatch the same job.
+// Ticks must not both dispatch the same job. It runs only in tickFair, whose
+// laneMu also guards the free-node buffer.
 func (s *Scheduler) tryStart(job *jobs.Job) startOutcome {
 	id := job.ID
 	s.mu.Lock()
@@ -283,18 +285,17 @@ func (s *Scheduler) tryStart(job *jobs.Job) startOutcome {
 		unclaim()
 		return skippedJob
 	}
-	var free []topology.NodeID
 	if job.Spec.GPU {
 		if total := s.cluster.GPUNodeCount(); ranks > total {
 			s.failJob(job, fmt.Sprintf("requested %d GPU nodes, cluster has %d", ranks, total))
 			unclaim()
 			return skippedJob
 		}
-		free = s.cluster.FreeGPUNodes()
+		s.free = s.cluster.FreeGPUNodes(s.free[:0])
 	} else {
-		free = s.cluster.FreeNodes()
+		s.free = s.cluster.FreeNodes(s.free[:0])
 	}
-	nodes := s.policy.Select(free, ranks)
+	nodes := s.policy.Select(s.free, ranks)
 	if nodes == nil {
 		unclaim()
 		return blockedJob // not enough nodes right now

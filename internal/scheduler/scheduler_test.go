@@ -214,7 +214,7 @@ func TestFIFOHeadOfLineBlocksWithoutBackfill(t *testing.T) {
 	r := newRig(t, Options{MaxNodesPerJob: 64})
 	r.addSource(t, "alice", "/h.mc", helloSrc)
 	// Occupy 60 of 64 nodes so a 16-node job cannot start.
-	if err := r.clus.AllocateNodes("blocker", r.clus.FreeNodes()[:60]); err != nil {
+	if err := r.clus.AllocateNodes("blocker", r.clus.FreeNodes(nil)[:60]); err != nil {
 		t.Fatal(err)
 	}
 	big := r.submit(t, "alice", "/h.mc", "minic", 16)
@@ -238,7 +238,7 @@ func TestFIFOHeadOfLineBlocksWithoutBackfill(t *testing.T) {
 func TestBackfillLetsSmallJobsThrough(t *testing.T) {
 	r := newRig(t, Options{MaxNodesPerJob: 64, Backfill: true})
 	r.addSource(t, "alice", "/h.mc", helloSrc)
-	if err := r.clus.AllocateNodes("blocker", r.clus.FreeNodes()[:60]); err != nil {
+	if err := r.clus.AllocateNodes("blocker", r.clus.FreeNodes(nil)[:60]); err != nil {
 		t.Fatal(err)
 	}
 	big := r.submit(t, "alice", "/h.mc", "minic", 16)
@@ -260,7 +260,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	r := newRig(t, Options{})
 	r.addSource(t, "alice", "/h.mc", helloSrc)
 	// Block the cluster so the job stays queued.
-	if err := r.clus.AllocateNodes("blocker", r.clus.FreeNodes()); err != nil {
+	if err := r.clus.AllocateNodes("blocker", r.clus.FreeNodes(nil)); err != nil {
 		t.Fatal(err)
 	}
 	j := r.submit(t, "alice", "/h.mc", "minic", 1)
@@ -409,14 +409,14 @@ func TestDownNodesAreNotScheduled(t *testing.T) {
 	r := newRig(t, Options{})
 	r.addSource(t, "alice", "/h.mc", helloSrc)
 	// Take every node in segments 1-3 down and allocate the rest but two.
-	for _, id := range r.clus.FreeNodes() {
+	for _, id := range r.clus.FreeNodes(nil) {
 		if id.Segment > 0 {
 			if err := r.clus.MarkDown(id); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	if err := r.clus.AllocateNodes("blocker", r.clus.FreeNodes()[:14]); err != nil {
+	if err := r.clus.AllocateNodes("blocker", r.clus.FreeNodes(nil)[:14]); err != nil {
 		t.Fatal(err)
 	}
 	// A 4-node job cannot start on 2 free nodes.
@@ -491,7 +491,7 @@ func TestGPUJobWaitsWhileGPUBusy(t *testing.T) {
 	r := newRig(t, Options{})
 	r.addSource(t, "alice", "/g.mc", helloSrc)
 	// Occupy the single GPU node.
-	gpuNodes := r.clus.FreeGPUNodes()
+	gpuNodes := r.clus.FreeGPUNodes(nil)
 	if len(gpuNodes) != 1 {
 		t.Fatalf("gpu nodes = %v", gpuNodes)
 	}
