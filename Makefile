@@ -77,7 +77,7 @@ bench-vm:
 # BENCH_sched.json. Like bench-vm, it is not part of check: benchmark
 # walltime is too noisy for a CI gate.
 bench-sched:
-	$(GO) test -run '^$$' -bench BenchmarkSchedulerThroughput -benchtime 5x ./internal/scheduler/ \
+	$(GO) test -run '^$$' -bench BenchmarkSchedulerThroughput -benchmem -benchtime 5x ./internal/scheduler/ \
 	| $(GO) run ./cmd/benchjson -o BENCH_sched.json
 	@cat BENCH_sched.json
 
@@ -96,7 +96,7 @@ bench-stream:
 # records it in BENCH_wal.json. Like the other bench targets, not part of
 # check.
 bench-wal:
-	$(GO) test -run '^$$' -bench BenchmarkWALAppend -benchtime 1s ./internal/dataprovider/ \
+	$(GO) test -run '^$$' -bench BenchmarkWALAppend -benchmem -benchtime 1s ./internal/dataprovider/ \
 	| $(GO) run ./cmd/benchjson -o BENCH_wal.json
 	@cat BENCH_wal.json
 
@@ -120,7 +120,7 @@ bench-mpi:
 # and p50/p99/p999 from intended start times). Both land in BENCH_http.json.
 # Like the other bench targets, not part of check.
 bench-http:
-	{ for b in Languages JobGet JobList Submit Login; do \
+	{ for b in Languages JobGet JobTrace JobList Submit Login; do \
 	    $(GO) test -run '^$$' -bench BenchmarkHTTP$$b'$$' -benchmem -benchtime 20000x ./internal/portal/ ; \
 	  done ; \
 	  $(GO) run ./cmd/loadgen -deck mixed -rps 1000 -duration 5s ; \

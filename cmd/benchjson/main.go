@@ -4,7 +4,10 @@
 //	{"BenchmarkVMTightLoop": {"ns_per_op": 434311, "allocs_per_op": 6, "bytes_per_op": 9840, "iterations": 2961}}
 //
 // The -P suffix goroutine count (BenchmarkX-8) is stripped so keys are stable
-// across machines. `make bench-vm` uses it to write BENCH_vm.json.
+// across machines. bytes_per_op and allocs_per_op appear only when the line
+// carries them (-benchmem or b.ReportAllocs): a field that was not measured
+// is omitted, never written as 0. `make bench-vm` uses it to write
+// BENCH_vm.json.
 package main
 
 import (
@@ -18,14 +21,14 @@ import (
 	"strings"
 )
 
-// Entry is one benchmark's measurements. Extra holds custom metrics
-// reported via b.ReportMetric (e.g. "jobs/s", "µs/pass-p50"), keyed by
-// their unit.
+// Entry is one benchmark's measurements. BytesPerOp and AllocsPerOp are nil
+// when the line did not report them. Extra holds custom metrics reported
+// via b.ReportMetric (e.g. "jobs/s", "µs/pass-p50"), keyed by their unit.
 type Entry struct {
 	Iterations  int64              `json:"iterations"`
 	NsPerOp     float64            `json:"ns_per_op"`
-	BytesPerOp  int64              `json:"bytes_per_op"`
-	AllocsPerOp int64              `json:"allocs_per_op"`
+	BytesPerOp  *int64             `json:"bytes_per_op,omitempty"`
+	AllocsPerOp *int64             `json:"allocs_per_op,omitempty"`
 	Extra       map[string]float64 `json:"extra,omitempty"`
 }
 
@@ -52,9 +55,9 @@ func parse(lines *bufio.Scanner) (map[string]Entry, error) {
 			switch {
 			case f == "":
 			case strings.HasSuffix(f, " B/op"):
-				e.BytesPerOp, _ = strconv.ParseInt(strings.TrimSuffix(f, " B/op"), 10, 64)
+				e.BytesPerOp = parseCount(strings.TrimSuffix(f, " B/op"))
 			case strings.HasSuffix(f, " allocs/op"):
-				e.AllocsPerOp, _ = strconv.ParseInt(strings.TrimSuffix(f, " allocs/op"), 10, 64)
+				e.AllocsPerOp = parseCount(strings.TrimSuffix(f, " allocs/op"))
 			default:
 				// A custom metric from b.ReportMetric: "<value> <unit>".
 				val, unit, ok := strings.Cut(f, " ")
@@ -74,6 +77,16 @@ func parse(lines *bufio.Scanner) (map[string]Entry, error) {
 		out[m[1]] = e
 	}
 	return out, lines.Err()
+}
+
+// parseCount reads a B/op or allocs/op column, or returns nil when it is
+// not a count.
+func parseCount(s string) *int64 {
+	n, err := strconv.ParseInt(s, 10, 64)
+	if err != nil {
+		return nil
+	}
+	return &n
 }
 
 func main() {

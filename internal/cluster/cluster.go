@@ -17,7 +17,6 @@
 package cluster
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"strconv"
@@ -282,15 +281,15 @@ func (c *Cluster) AllocateNodes(jobID string, ids []topology.NodeID) error {
 	return nil
 }
 
-// AllocateNodesCtx is AllocateNodes recording the allocation as a span on
-// the job trace carried by ctx (if any): node count, and the node list when
-// it is small enough to be readable.
-func (c *Cluster) AllocateNodesCtx(ctx context.Context, jobID string, ids []topology.NodeID) error {
+// AllocateNodesTraced is AllocateNodes recording the allocation as a span
+// on the job trace tr (if any): node count, and the node list when it is
+// small enough to be readable.
+func (c *Cluster) AllocateNodesTraced(tr *trace.Trace, jobID string, ids []topology.NodeID) error {
 	err := c.AllocateNodes(jobID, ids)
 	if err != nil {
 		return err
 	}
-	if tr := trace.FromContext(ctx); tr != nil {
+	if tr != nil {
 		sp := tr.StartSpan("allocate", trace.Attr{Key: "nodes", Value: strconv.Itoa(len(ids))})
 		if len(ids) <= 8 {
 			list := ""
@@ -307,14 +306,12 @@ func (c *Cluster) AllocateNodesCtx(ctx context.Context, jobID string, ids []topo
 	return nil
 }
 
-// ReleaseCtx is Release recording the teardown as a span on the job trace
-// carried by ctx (if any).
-func (c *Cluster) ReleaseCtx(ctx context.Context, jobID string) int {
+// ReleaseTraced is Release recording the teardown as a span on the job
+// trace tr (if any). The scheduler releases a job's nodes after its terminal
+// transition, so the span lands on a finished trace.
+func (c *Cluster) ReleaseTraced(tr *trace.Trace, jobID string) int {
 	n := c.Release(jobID)
-	if tr := trace.FromContext(ctx); tr != nil {
-		sp := tr.StartSpan("release", trace.Attr{Key: "nodes", Value: strconv.Itoa(n)})
-		sp.End()
-	}
+	tr.StartSpan("release", trace.Attr{Key: "nodes", Value: strconv.Itoa(n)}).End()
 	return n
 }
 

@@ -23,7 +23,9 @@
 package dataprovider
 
 import (
+	"bytes"
 	"encoding/json"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -102,16 +104,42 @@ func (s *Sink) Attach(j Journal) {
 	s.j.Store(&j)
 }
 
+// Appender is a payload that encodes itself: AppendJSON appends to b the
+// bytes json.Marshal produces for the payload. The records every job writes
+// (submit, transition, steps) implement it, so Emit journals them without
+// reflection; the cold records stay on encoding/json.
+type Appender interface {
+	AppendJSON(b []byte) []byte
+}
+
+// scratch holds the buffers Appender payloads encode into before Emit
+// copies the record out at its exact size. A buffer grown past
+// maxScratch (a submission with a large stdin) is not kept.
+var scratch = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxScratch = 64 << 10
+
 // Emit JSON-encodes payload and enqueues it as one record of the given kind.
-// Without an attached journal the record is dropped.
+// A payload that is an Appender encodes itself; any other goes through
+// encoding/json. Without an attached journal the record is dropped.
 func (s *Sink) Emit(kind Kind, payload any) {
 	j := s.j.Load()
 	if j == nil {
 		return
 	}
-	data, err := json.Marshal(payload)
-	if err != nil {
-		return // payloads are the subsystems' own structs; this cannot happen
+	var data []byte
+	if a, ok := payload.(Appender); ok {
+		buf := scratch.Get().(*[]byte)
+		*buf = a.AppendJSON((*buf)[:0])
+		data = bytes.Clone(*buf)
+		if cap(*buf) <= maxScratch {
+			scratch.Put(buf)
+		}
+	} else {
+		var err error
+		if data, err = json.Marshal(payload); err != nil {
+			return // payloads are the subsystems' own structs; this cannot happen
+		}
 	}
 	(*j).AppendAsync(Record{Kind: kind, Data: data})
 }

@@ -7,6 +7,9 @@
 // cancelled — with a cause naming the terminal state and reason — the moment
 // the job reaches a terminal state, so every layer of the pipeline (compiler,
 // VM interpreter loop, MPI runtime) can observe cancellation and unwind.
+// A job that ended without a cancel then gives its context up for one
+// shared, already-cancelled context, so a finished job keeps only its
+// record.
 //
 // The store is built for concurrent traffic: jobs live in hash-sharded maps
 // so lookups on different jobs never contend, per-state counts are atomics
@@ -124,7 +127,7 @@ type Job struct {
 	ID   string
 	Spec Spec
 
-	ctx    context.Context
+	ctx    context.Context // guarded by mu: the terminal transition swaps it
 	cancel context.CancelCauseFunc
 	tr     *trace.Trace
 
@@ -151,12 +154,29 @@ type Job struct {
 
 // Context returns the job's lifecycle context. It is created at submission
 // and cancelled when the job reaches a terminal state; the whole execution
-// pipeline (compile, dispatch, VM, MPI) derives from it.
-func (j *Job) Context() context.Context { return j.ctx }
+// pipeline (compile, dispatch, VM, MPI) derives from it. Once a job that
+// was not cancelled has ended, Context returns finishedCtx, whose cause is
+// context.Canceled as the job's own was; a cancelled job keeps its own, so
+// context.Cause names the reason.
+func (j *Job) Context() context.Context {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.ctx
+}
+
+// finishedCtx is the context every job that ended without a cancel shares:
+// already cancelled, with context.Canceled as its cause. It carries no
+// trace; a finished job's trace is read from Job.Trace.
+var finishedCtx = func() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
+}()
 
 // Trace returns the job's span tree, created at submission and finished at
-// the terminal transition. The same trace rides the job's context, so every
-// pipeline layer can record spans without knowing about the store.
+// the terminal transition. The same trace rides the job's context while it
+// runs, so every pipeline layer can record spans without knowing about the
+// store.
 func (j *Job) Trace() *trace.Trace { return j.tr }
 
 // Snapshot is an immutable view of a job for display.
@@ -539,7 +559,9 @@ func (s *Store) Get(id string) (*Job, error) {
 // Each transition is recorded once, in every sink: the journal, the
 // activity feed (the entered state's name, the reason as detail), the
 // trace (the left state's span closes, the entered one's opens; a terminal
-// state finishes the root span instead) and the job histograms.
+// state finishes the root span instead) and the job histograms. The trace
+// changes in the same critical section as the state, so a reader that sees
+// a terminal state sees a finished root naming it.
 func (s *Store) Transition(id string, next State, failure string) error {
 	return s.transition(id, next, failure, s.clk.Now(), true)
 }
@@ -597,8 +619,11 @@ func (s *Store) transition(id string, next State, failure string, now time.Time,
 	}
 	j.since = now
 	j.tr.EndSpan(cur.String())
+	var cause error
 	if !next.Terminal() {
 		j.tr.StartSpan(next.String())
+	} else {
+		cause = finishTrace(j.tr, next, failure)
 	}
 	j.mu.Unlock()
 	// The journal append can block on a full commit queue while a snapshot
@@ -627,21 +652,31 @@ func (s *Store) transition(id string, next State, failure string, now time.Time,
 	if next.Terminal() {
 		s.active.Add(-1)
 		s.ownerDone(j.Spec.Owner)
-		cause := context.Canceled
-		if next == StateCancelled {
-			cause = fmt.Errorf("%w: %s", ErrCancelled, failure)
-		}
-		attrs := []trace.Attr{{Key: "state", Value: next.String()}}
-		if failure != "" {
-			attrs = append(attrs, trace.Attr{Key: "failure", Value: failure})
-		}
-		if next == StateCancelled {
-			attrs = append(attrs, trace.Attr{Key: "cause", Value: cause.Error()})
-		}
-		j.tr.Finish(attrs...)
 		j.cancel(cause)
+		if next != StateCancelled {
+			j.mu.Lock()
+			j.ctx, j.cancel = finishedCtx, nil
+			j.mu.Unlock()
+		}
 	}
 	return nil
+}
+
+// finishTrace closes a job's trace at its terminal state next, naming the
+// state, the failure and, for a cancel, the cause on the root. It returns
+// the cause the job's context is cancelled with.
+func finishTrace(tr *trace.Trace, next State, failure string) error {
+	var cause error = context.Canceled
+	attrs := append(make([]trace.Attr, 0, 3), trace.Attr{Key: "state", Value: next.String()})
+	if failure != "" {
+		attrs = append(attrs, trace.Attr{Key: "failure", Value: failure})
+	}
+	if next == StateCancelled {
+		cause = fmt.Errorf("%w: %s", ErrCancelled, failure)
+		attrs = append(attrs, trace.Attr{Key: "cause", Value: cause.Error()})
+	}
+	tr.Finish(attrs...)
+	return cause
 }
 
 // ListPage returns one page of snapshots, newest first. owner filters when
@@ -756,7 +791,7 @@ func (s *Store) WaitTerminal(id string, timeout time.Duration) (Snapshot, error)
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	select {
-	case <-j.ctx.Done():
+	case <-j.Context().Done():
 	case <-timer.C:
 	}
 	snap := j.Snapshot()

@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/dataprovider"
+	"repro/internal/jsonenc"
 )
 
 // This file is the store's persistence surface: the journal records Submit
@@ -26,6 +28,30 @@ type SubmitRecord struct {
 	Submitted time.Time `json:"submitted"`
 }
 
+// AppendJSON appends r as json.Marshal encodes it, so the journal records
+// a submission without reflection.
+func (r SubmitRecord) AppendJSON(b []byte) []byte {
+	b = append(b, `{"id":`...)
+	b = jsonenc.AppendString(b, r.ID)
+	b = append(b, `,"spec":{"Owner":`...)
+	b = jsonenc.AppendString(b, r.Spec.Owner)
+	b = append(b, `,"SourcePath":`...)
+	b = jsonenc.AppendString(b, r.Spec.SourcePath)
+	b = append(b, `,"Language":`...)
+	b = jsonenc.AppendString(b, r.Spec.Language)
+	b = append(b, `,"Ranks":`...)
+	b = strconv.AppendInt(b, int64(r.Spec.Ranks), 10)
+	b = append(b, `,"GPU":`...)
+	b = strconv.AppendBool(b, r.Spec.GPU)
+	b = append(b, `,"Stdin":`...)
+	b = jsonenc.AppendString(b, r.Spec.Stdin)
+	b = append(b, `,"StepBudget":`...)
+	b = strconv.AppendInt(b, r.Spec.StepBudget, 10)
+	b = append(b, `},"submitted":`...)
+	b = jsonenc.AppendTime(b, r.Submitted)
+	return append(b, '}')
+}
+
 // TransitionRecord is the WAL payload for a lifecycle transition. State is
 // the stable state name, never the numeric value.
 type TransitionRecord struct {
@@ -33,6 +59,22 @@ type TransitionRecord struct {
 	State   string    `json:"state"`
 	Failure string    `json:"failure,omitempty"`
 	Time    time.Time `json:"time"`
+}
+
+// AppendJSON appends r as json.Marshal encodes it, so the journal records
+// a transition without reflection.
+func (r TransitionRecord) AppendJSON(b []byte) []byte {
+	b = append(b, `{"id":`...)
+	b = jsonenc.AppendString(b, r.ID)
+	b = append(b, `,"state":`...)
+	b = jsonenc.AppendString(b, r.State)
+	if r.Failure != "" {
+		b = append(b, `,"failure":`...)
+		b = jsonenc.AppendString(b, r.Failure)
+	}
+	b = append(b, `,"time":`...)
+	b = jsonenc.AppendTime(b, r.Time)
+	return append(b, '}')
 }
 
 // PersistedJob is the stable serialized form of a job, used by snapshots,
@@ -104,12 +146,10 @@ func (s *Store) restoreOne(pj PersistedJob, journal bool) error {
 		return fmt.Errorf("jobs: restore %s: %w", pj.ID, err)
 	}
 	tr := traceForRestore(s, pj, st)
-	ctx, cancel := newJobContext(tr)
 	j := &Job{
 		ID:        pj.ID,
 		Spec:      pj.Spec,
-		ctx:       ctx,
-		cancel:    cancel,
+		ctx:       finishedCtx,
 		tr:        tr,
 		state:     st,
 		since:     pj.Submitted,
@@ -132,8 +172,15 @@ func (s *Store) restoreOne(pj PersistedJob, journal bool) error {
 		j.Stdout.Close()
 		j.Stdin.Close()
 		j.tr.Finish()
-		cancel(fmt.Errorf("jobs: %s restored in terminal state %s", pj.ID, st))
+		if st == StateCancelled {
+			// A cancelled job keeps a context of its own, so its cause
+			// still says why it ended.
+			ctx, cancel := context.WithCancelCause(context.Background())
+			cancel(fmt.Errorf("jobs: %s restored in terminal state %s", pj.ID, st))
+			j.ctx = ctx
+		}
 	} else {
+		j.ctx, j.cancel = newJobContext(tr)
 		s.active.Add(1)
 		s.ownerRestored(pj.Spec.Owner)
 	}

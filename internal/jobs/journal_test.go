@@ -1,9 +1,12 @@
 package jobs
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/dataprovider"
 )
@@ -232,4 +235,66 @@ func TestCompactCursorSemantics(t *testing.T) {
 	if _, _, err := s.ListPage("", nil, 10, ids[1]); !errors.Is(err, ErrBadCursor) {
 		t.Fatalf("dropped-cursor err = %v, want ErrBadCursor", err)
 	}
+}
+
+// TestRecordEncodersMatchJSON pins the submit and transition records' append
+// encoders to json.Marshal, byte for byte: every Spec field, escapes, an
+// omitted failure, and times in zones east and west of UTC.
+func TestRecordEncodersMatchJSON(t *testing.T) {
+	east := time.FixedZone("CEST", 2*3600)
+	west := time.FixedZone("NST", -(3*3600 + 30*60))
+	at := time.Date(2026, 10, 19, 9, 30, 1, 123456789, time.UTC)
+	records := []dataprovider.Appender{
+		SubmitRecord{ID: "job-000001", Spec: spec(), Submitted: at},
+		SubmitRecord{ID: "job-000002", Spec: Spec{
+			Owner: "bo <&>", SourcePath: "/dir \"q\"/π\u2028.mc", Language: "auto", Ranks: 16, GPU: true,
+			Stdin: "line 1\nline\t2\x00\xff", StepBudget: 1 << 40,
+		}, Submitted: at.In(east)},
+		SubmitRecord{ID: "job-000003", Submitted: at.In(west)},
+		TransitionRecord{ID: "job-000001", State: "running", Time: at},
+		TransitionRecord{ID: "job-000001", State: "failed", Failure: "compile failed:\n  /a.mc:1: unexpected \"}\"", Time: at.In(east)},
+		TransitionRecord{ID: "job-000001", State: "cancelled", Failure: "cancelled by user", Time: at.In(west).Truncate(time.Second)},
+	}
+	for _, rec := range records {
+		want, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rec.AppendJSON(nil); !bytes.Equal(got, want) {
+			t.Errorf("%T:\n got %s\nwant %s", rec, got, want)
+		}
+	}
+}
+
+type discardJournal struct{}
+
+func (discardJournal) AppendAsync(dataprovider.Record) {}
+
+// BenchmarkEmitRecord measures journaling one of a one-line job's job
+// records (its submission and three transitions, in turn) through
+// Sink.Emit, with the records' append encoders ("append") and with
+// encoding/json, which Emit used for every record before ("json").
+func BenchmarkEmitRecord(b *testing.B) {
+	at := time.Now()
+	recs := []any{
+		SubmitRecord{ID: "job-000001", Spec: Spec{Owner: "alice", SourcePath: "/main.mc", Language: "minic", Ranks: 1}, Submitted: at},
+		TransitionRecord{ID: "job-000001", State: "compiling", Time: at},
+		TransitionRecord{ID: "job-000001", State: "running", Time: at},
+		TransitionRecord{ID: "job-000001", State: "succeeded", Time: at},
+	}
+	var s dataprovider.Sink
+	s.Attach(discardJournal{})
+	b.Run("append", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s.Emit(dataprovider.KindJobTransition, recs[i%len(recs)])
+		}
+	})
+	b.Run("json", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			data, _ := json.Marshal(recs[i%len(recs)])
+			discardJournal{}.AppendAsync(dataprovider.Record{Kind: dataprovider.KindJobTransition, Data: data})
+		}
+	})
 }

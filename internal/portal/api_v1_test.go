@@ -328,6 +328,8 @@ func TestPrometheusEndpoint(t *testing.T) {
 		`http_request_seconds_bucket{route="PUT /api/files/content",le=`,
 		"job_run_seconds_count 1",
 		"# TYPE jobs_submitted_total counter",
+		"# TYPE go_gc_cycles gauge",
+		"# TYPE go_heap_live_bytes gauge",
 	}
 	for _, want := range wants {
 		if !strings.Contains(out, want) {

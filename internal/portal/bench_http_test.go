@@ -100,6 +100,25 @@ func BenchmarkHTTPJobGet(b *testing.B) {
 	}
 }
 
+// BenchmarkHTTPJobTrace measures GET /api/jobs/{id}/trace end to end for a
+// finished job whose trace has a one-line job's shape (8 spans, 13
+// attributes).
+func BenchmarkHTTPJobTrace(b *testing.B) {
+	srv, token := benchServer(b)
+	job := floodShapedJob(b, srv)
+	req := benchRequest("GET", "/api/jobs/"+job.ID+"/trace", token, "")
+	rec := httptest.NewRecorder()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec.Body.Reset()
+		srv.ServeHTTP(rec, req)
+	}
+	if rec.Code != http.StatusOK {
+		b.Fatalf("status = %d body=%s", rec.Code, rec.Body.String())
+	}
+}
+
 // BenchmarkHTTPJobList measures one GET /api/jobs page (8 jobs) end to end.
 func BenchmarkHTTPJobList(b *testing.B) {
 	srv, token := benchServer(b)

@@ -17,11 +17,9 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
-	"unicode/utf8"
-	"unsafe"
 
 	"repro/internal/jobs"
+	"repro/internal/jsonenc"
 	"repro/internal/topology"
 )
 
@@ -132,79 +130,8 @@ func requestIDOf(w http.ResponseWriter) string {
 //
 // These produce byte-for-byte what encoding/json would for the same payload
 // (HTML-escaping included), without the reflection walk or the per-field
-// interface boxing. Each hot response shape gets one appender; everything
-// else stays on writeJSON.
-
-const hexDigits = "0123456789abcdef"
-
-// appendJSONString appends s as a JSON string literal. The string's bytes are
-// viewed in place (read-only) to share one escaper with appendJSONBytes.
-func appendJSONString(b []byte, s string) []byte {
-	if len(s) == 0 {
-		return append(b, '"', '"')
-	}
-	return appendJSONBytes(b, unsafe.Slice(unsafe.StringData(s), len(s)))
-}
-
-// appendJSONBytes appends s as a JSON string literal, escaping exactly the
-// set encoding/json escapes by default: quotes, backslashes, control
-// characters, the HTML-sensitive <, >, &, the line separators U+2028/U+2029,
-// and invalid UTF-8 (replaced with U+FFFD).
-func appendJSONBytes(b []byte, s []byte) []byte {
-	b = append(b, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c < utf8.RuneSelf {
-			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
-			b = append(b, s[start:i]...)
-			switch c {
-			case '\\', '"':
-				b = append(b, '\\', c)
-			case '\n':
-				b = append(b, '\\', 'n')
-			case '\r':
-				b = append(b, '\\', 'r')
-			case '\t':
-				b = append(b, '\\', 't')
-			default:
-				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		r, size := utf8.DecodeRune(s[i:])
-		if r == utf8.RuneError && size == 1 {
-			b = append(b, s[start:i]...)
-			b = append(b, '\\', 'u', 'f', 'f', 'f', 'd')
-			i++
-			start = i
-			continue
-		}
-		if r == 0x2028 || r == 0x2029 {
-			b = append(b, s[start:i]...)
-			b = append(b, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
-			i += size
-			start = i
-			continue
-		}
-		i += size
-	}
-	b = append(b, s[start:]...)
-	return append(b, '"')
-}
-
-// appendJSONTime appends t as encoding/json renders a time.Time: a quoted
-// RFC 3339 timestamp with nanoseconds when present.
-func appendJSONTime(b []byte, t time.Time) []byte {
-	b = append(b, '"')
-	b = t.AppendFormat(b, time.RFC3339Nano)
-	return append(b, '"')
-}
+// interface boxing; strings and times go through package jsonenc. Each hot
+// response shape gets one appender; everything else stays on writeJSON.
 
 // appendNodeID appends a node ID as a quoted string in the same "s%dn%02d"
 // form topology.NodeID.String renders.
@@ -225,26 +152,26 @@ func appendNodeID(b []byte, id topology.NodeID) []byte {
 // struct), failure only when set, nodes only when placed.
 func appendJob(b []byte, snap *jobs.Snapshot) []byte {
 	b = append(b, `{"id":`...)
-	b = appendJSONString(b, snap.ID)
+	b = jsonenc.AppendString(b, snap.ID)
 	b = append(b, `,"owner":`...)
-	b = appendJSONString(b, snap.Spec.Owner)
+	b = jsonenc.AppendString(b, snap.Spec.Owner)
 	b = append(b, `,"source_path":`...)
-	b = appendJSONString(b, snap.Spec.SourcePath)
+	b = jsonenc.AppendString(b, snap.Spec.SourcePath)
 	b = append(b, `,"language":`...)
-	b = appendJSONString(b, snap.Spec.Language)
+	b = jsonenc.AppendString(b, snap.Spec.Language)
 	b = append(b, `,"ranks":`...)
 	b = strconv.AppendInt(b, int64(snap.Spec.Ranks), 10)
 	b = append(b, `,"state":`...)
-	b = appendJSONString(b, snap.State.String())
+	b = jsonenc.AppendString(b, snap.State.String())
 	b = append(b, `,"submitted":`...)
-	b = appendJSONTime(b, snap.Submitted)
+	b = jsonenc.AppendTime(b, snap.Submitted)
 	b = append(b, `,"started":`...)
-	b = appendJSONTime(b, snap.Started)
+	b = jsonenc.AppendTime(b, snap.Started)
 	b = append(b, `,"finished":`...)
-	b = appendJSONTime(b, snap.Finished)
+	b = jsonenc.AppendTime(b, snap.Finished)
 	if snap.Failure != "" {
 		b = append(b, `,"failure":`...)
-		b = appendJSONString(b, snap.Failure)
+		b = jsonenc.AppendString(b, snap.Failure)
 	}
 	if len(snap.Nodes) > 0 {
 		b = append(b, `,"nodes":[`...)

@@ -11,38 +11,8 @@ import (
 
 	"repro/internal/jobs"
 	"repro/internal/topology"
+	"repro/internal/trace"
 )
-
-// TestAppendJSONBytesParity pins the hand escaper to encoding/json: for
-// every probe the bytes must match json.Marshal of the same string exactly,
-// HTML escaping and invalid-UTF-8 replacement included.
-func TestAppendJSONBytesParity(t *testing.T) {
-	probes := []string{
-		"",
-		"plain ascii",
-		`quotes " and \ backslash`,
-		"newline\n tab\t cr\r",
-		"control \x00\x01\x1f bytes",
-		"html <tag> & entity",
-		"unicode – ñ – 日本語",
-		"line sep   and   end",
-		"invalid \xff\xfe utf8",
-		"mixed \xc3\x28 sequence",
-		"trailing backslash \\",
-	}
-	for _, p := range probes {
-		want, err := json.Marshal(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := appendJSONBytes(nil, []byte(p)); !bytes.Equal(got, want) {
-			t.Errorf("appendJSONBytes(%q) = %s, want %s", p, got, want)
-		}
-		if got := appendJSONString(nil, p); !bytes.Equal(got, want) {
-			t.Errorf("appendJSONString(%q) = %s, want %s", p, got, want)
-		}
-	}
-}
 
 // TestAppendJobParity pins appendJob to the jobJSON struct it replaces: both
 // renderings must decode to identical JSON values, and the omission rules
@@ -249,5 +219,146 @@ func TestAllocsJobGet(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("job get handler+encode allocates %v/op, want 0", allocs)
+	}
+}
+
+// traceResponse is the GET /api/jobs/{id}/trace document as the handler
+// built it for encoding/json before it encoded straight from the trace's
+// log; the parity test renders it as the reference.
+type traceResponse struct {
+	ID    string      `json:"id"`
+	State string      `json:"state"`
+	Trace interface{} `json:"trace"`
+}
+
+// floodShapedJob records a finished one-line job the way the pipeline does
+// (submit, request ID, allocation, dispatch, a cached compile, the state
+// spans, the terminal transition and the release after it) without running
+// it: 8 spans and 13 attributes.
+func floodShapedJob(tb testing.TB, srv *Server) *jobs.Job {
+	tb.Helper()
+	job, err := srv.Jobs.Submit(jobs.Spec{Owner: "bench", SourcePath: "/p.mc", Language: "minic", Ranks: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tr := job.Trace()
+	tr.Root().Annotate("request_id", "req-4f9c21ab")
+	if err := srv.Cluster.AllocateNodesTraced(tr, job.ID, []topology.NodeID{{Segment: 0, Index: 3}}); err != nil {
+		tb.Fatal(err)
+	}
+	tr.StartSpan("dispatch", trace.Attr{Key: "policy", Value: "pack"}).End()
+	for _, st := range []jobs.State{jobs.StateCompiling, jobs.StateRunning, jobs.StateSucceeded} {
+		if st == jobs.StateRunning {
+			sp := tr.StartSpan("compile", trace.Attr{Key: "language", Value: "minic"})
+			sp.Annotate("cached", "true")
+			sp.Annotate("artifact", "art-000001")
+			sp.End()
+		}
+		if err := srv.Jobs.Transition(job.ID, st, ""); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	srv.Cluster.ReleaseTraced(tr, job.ID)
+	return job
+}
+
+// TestJobTraceParity pins GET /api/jobs/{id}/trace to encoding/json of the
+// response it used to build from Snapshot, byte for byte, for every shape a
+// job's trace takes.
+func TestJobTraceParity(t *testing.T) {
+	srv, token := benchServer(t)
+	submit := func(sp jobs.Spec) *jobs.Job {
+		job, err := srv.Jobs.Submit(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return job
+	}
+	base := jobs.Spec{Owner: "bench", SourcePath: "/p.mc", Language: "minic", Ranks: 1}
+	cases := map[string]*jobs.Job{}
+	cases["open"] = submit(base)
+	cases["finished"] = floodShapedJob(t, srv)
+
+	cancelled := submit(base)
+	if err := srv.Jobs.Transition(cancelled.ID, jobs.StateCancelled, "cancelled by user"); err != nil {
+		t.Fatal(err)
+	}
+	cases["cancelled"] = cancelled
+
+	err := srv.Jobs.Restore([]jobs.PersistedJob{
+		{ID: "job-900001", Spec: base, State: "succeeded", Submitted: time.Now()},
+		{ID: "job-900002", Spec: base, State: "running", Submitted: time.Now()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"job-900001", "job-900002"} {
+		if cases["restored-"+id], err = srv.Jobs.Get(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	large := submit(base)
+	for i := 0; i < 10; i++ {
+		sp := large.Trace().StartSpan("rank"+strconv.Itoa(i), trace.Attr{Key: "steps", Value: strconv.Itoa(i * 997)})
+		sp.Annotate("sent", strconv.Itoa(i))
+		sp.End()
+	}
+	cases["large"] = large
+
+	repeated := submit(base)
+	repeated.Trace().Root().Annotate("owner", "mallory")
+	repeated.Trace().Root().Annotate("ranks", "2")
+	cases["repeated-key"] = repeated
+
+	escaped := submit(jobs.Spec{Owner: "bench", SourcePath: "/dir \"q\"/<a>&b\u2028\xff.mc", Language: "minic", Ranks: 1})
+	if err := srv.Jobs.Transition(escaped.ID, jobs.StateFailed, "compile failed:\n  \"x\" <y> & z\u2028\xfe"); err != nil {
+		t.Fatal(err)
+	}
+	cases["escaping"] = escaped
+
+	for name, job := range cases {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, benchRequest("GET", "/api/jobs/"+job.ID+"/trace", token, ""))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status = %d: %s", name, rec.Code, rec.Body.String())
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(traceResponse{
+			ID: job.ID, State: job.State().String(), Trace: job.Trace().Snapshot(),
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
+			t.Errorf("%s:\n got %s\nwant %s", name, rec.Body.Bytes(), want.Bytes())
+		}
+	}
+}
+
+// TestAllocsJobTrace gates the handler+encode path of GET
+// /api/jobs/{id}/trace for a finished flood-shaped job at zero allocations,
+// invoked directly as TestAllocsJobGet invokes its handler.
+func TestAllocsJobTrace(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; gate runs in the non-race pass")
+	}
+	srv, token := benchServer(t)
+	job := floodShapedJob(t, srv)
+	sess, err := srv.Auth.Lookup(token)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := benchRequest("GET", "/api/jobs/"+job.ID+"/trace", token, "")
+	req.SetPathValue("id", job.ID)
+	rec := httptest.NewRecorder()
+	allocs := testing.AllocsPerRun(200, func() {
+		rec.Body.Reset()
+		srv.handleJobTrace(rec, req, sess)
+	})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
+	}
+	if allocs != 0 {
+		t.Fatalf("job trace handler+encode allocates %v/op, want 0", allocs)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	rtmetrics "runtime/metrics"
 	"strconv"
 	"strings"
 	"sync"
@@ -23,6 +24,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/ids"
 	"repro/internal/jobs"
+	"repro/internal/jsonenc"
 	"repro/internal/logging"
 	"repro/internal/metrics"
 	"repro/internal/minic"
@@ -132,6 +134,23 @@ func (s *Server) installStandardMetrics() {
 	reg.RegisterFunc("scheduler_dispatch_latency_us_sum", s.Sched.DispatchLatencySumUS)
 	reg.RegisterFunc("scheduler_cancelled_running_total", s.Sched.CancelledWhileRunning)
 	reg.RegisterFunc("auth_active_sessions", func() int64 { return int64(s.Auth.ActiveSessions()) })
+	// The GC paces its cycles by the live heap: a smaller heap at the same
+	// allocation rate means more cycles.
+	reg.RegisterFunc("go_gc_cycles", runtimeGauge("/gc/cycles/total:gc-cycles"))
+	reg.RegisterFunc("go_heap_live_bytes", runtimeGauge("/gc/heap/live:bytes"))
+}
+
+// runtimeGauge reads one of the Go runtime's uint64 metrics (package
+// runtime/metrics) as a gauge.
+func runtimeGauge(name string) metrics.GaugeFunc {
+	return func() int64 {
+		s := [1]rtmetrics.Sample{{Name: name}}
+		rtmetrics.Read(s[:])
+		if s[0].Value.Kind() != rtmetrics.KindUint64 {
+			return 0
+		}
+		return int64(s[0].Value.Uint64())
+	}
 }
 
 // SetMetrics replaces the server's registry — sharing one registry between
@@ -683,7 +702,7 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request, sess *aut
 		b = appendJob(b, &snaps[i])
 	}
 	b = append(b, `],"next_cursor":`...)
-	b = appendJSONString(b, next)
+	b = jsonenc.AppendString(b, next)
 	rb.b = append(b, '}', '\n')
 	jobPages.Put(pg)
 	writeRaw(w, http.StatusOK, rb)
@@ -699,7 +718,11 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request, sess *auth
 }
 
 // handleJobTrace serves the span tree recorded across the job's lifecycle —
-// the primary debugging artifact for "why was my run slow".
+// the primary debugging artifact for "why was my run slow" — as
+// {"id","state","trace"}, encoded straight from the trace's log into a
+// pooled buffer. The state is read before the trace: the store finishes the
+// trace in the critical section that makes the state terminal, so a
+// terminal state always comes with a closed root that names it.
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request, sess *auth.Session) {
 	job, e := s.jobForRequest(r, sess)
 	if e != nil {
@@ -711,18 +734,15 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request, sess *au
 		writeError(w, r, errf(http.StatusNotFound, CodeNotFound, "no trace recorded for job "+job.ID))
 		return
 	}
-	s.writeJSON(w, http.StatusOK, traceResponse{
-		ID:    job.ID,
-		State: job.State().String(),
-		Trace: tr.Snapshot(),
-	})
-}
-
-// traceResponse wraps a job's span tree.
-type traceResponse struct {
-	ID    string      `json:"id"`
-	State string      `json:"state"`
-	Trace interface{} `json:"trace"`
+	rb := getBuf()
+	b := append(rb.b[:0], `{"id":`...)
+	b = jsonenc.AppendString(b, job.ID)
+	b = append(b, `,"state":`...)
+	b = jsonenc.AppendString(b, job.State().String())
+	b = append(b, `,"trace":`...)
+	b = tr.AppendJSON(b)
+	rb.b = append(b, '}', '\n')
+	writeRaw(w, http.StatusOK, rb)
 }
 
 func (s *Server) handleJobInput(w http.ResponseWriter, r *http.Request, sess *auth.Session) {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/auth"
+	"repro/internal/jsonenc"
 )
 
 // SSE delivery tuning. While a job runs, the coalescing window batches a
@@ -61,7 +62,7 @@ func appendOutputFrame(b []byte, seq int64, data []byte, dropped int64) []byte {
 	b = append(b, "\ndata: {\"seq\":"...)
 	b = strconv.AppendInt(b, seq, 10)
 	b = append(b, `,"stream":"stdout","data":`...)
-	b = appendJSONBytes(b, data)
+	b = jsonenc.AppendBytes(b, data)
 	b = append(b, `,"dropped":`...)
 	b = strconv.AppendInt(b, dropped, 10)
 	return append(b, '}', '\n', '\n')

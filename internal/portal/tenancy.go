@@ -8,6 +8,7 @@ import (
 	"strconv"
 
 	"repro/internal/auth"
+	"repro/internal/jsonenc"
 	"repro/internal/tenancy"
 )
 
@@ -82,7 +83,7 @@ func (s *Server) appendUsage(b []byte, user string) []byte {
 		used = h.Used()
 	}
 	b = append(b, `{"user":`...)
-	b = appendJSONString(b, user)
+	b = jsonenc.AppendString(b, user)
 	b = append(b, `,"disk":{"used_bytes":`...)
 	b = strconv.AppendInt(b, used, 10)
 	b = append(b, `,"quota_bytes":`...)
@@ -201,7 +202,7 @@ func (s *Server) handleAdminUsageList(w http.ResponseWriter, r *http.Request, _ 
 	b = append(b, ']')
 	if end < len(names) {
 		b = append(b, `,"next_cursor":`...)
-		b = appendJSONString(b, names[end-1])
+		b = jsonenc.AppendString(b, names[end-1])
 	}
 	rb.b = append(b, '}', '\n')
 	writeRaw(w, http.StatusOK, rb)

@@ -134,15 +134,18 @@ func (w *rankWriter) Write(p []byte) (int, error) {
 // runArtifact executes a compiled unit as an MPI job over the given nodes
 // under ctx: each rank's VM checks the context in its interpreter loop and
 // the MPI world aborts blocked sends/receives when it dies. It blocks until
-// every rank finishes and returns the first rank error, or the context's
-// cause if the run was cancelled or timed out.
+// every rank finishes and returns the first rank error, or, when the run
+// was halted (cancelled, out of wall time or out of the owner's step
+// budget), an error wrapping the halt's cause.
 func (s *Scheduler) runArtifact(ctx context.Context, job *jobs.Job, unit *minic.Unit, nodes []topology.NodeID) error {
 	ranks := job.Spec.Ranks
-	// A cancellable wrapper so the first rank to exhaust the owner's tenancy
-	// step budget halts its siblings; the cause distinguishes the halt from
-	// user cancel and wall time.
+	// The run's one context: its cause tells a halt by the wall-time timer
+	// or by the first rank to exhaust the owner's tenancy step budget from
+	// a user cancel.
 	runCtx, cancelRun := context.WithCancelCause(ctx)
 	defer cancelRun(nil)
+	wall := time.AfterFunc(s.wallTime, func() { cancelRun(errWallTime) })
+	defer wall.Stop()
 	world, err := mpi.New(s.cluster.Grid(), nodes, mpi.Options{
 		Algorithm:    s.collective,
 		BufferDepth:  s.mpiDepth,
@@ -250,13 +253,14 @@ func (s *Scheduler) runArtifact(ctx context.Context, job *jobs.Job, unit *minic.
 		}
 		return fmt.Errorf("scheduler: job %s: %w", job.ID, context.Cause(runCtx))
 	}
-	if errors.Is(context.Cause(runCtx), errStepBudget) {
-		// A sibling halted the world; surface the budget cause rather than
-		// whichever rank's cancellation error happens to sit first in errs.
-		return fmt.Errorf("scheduler: job %s: %w", job.ID, errStepBudget)
-	}
+	halt := context.Cause(runCtx)
 	for _, e := range errs {
 		if e != nil {
+			if halt != nil {
+				// The run was halted; surface why rather than whichever
+				// rank's cancellation error happens to sit first in errs.
+				return fmt.Errorf("scheduler: job %s: %w", job.ID, halt)
+			}
 			return e
 		}
 	}

@@ -16,7 +16,6 @@
 package scheduler
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -127,8 +126,8 @@ type Scheduler struct {
 	passTime *metrics.Histogram
 }
 
-// errWallTime is the cancellation cause attached to a job's run deadline, so
-// a wall-time halt is distinguishable from a user cancel.
+// errWallTime is the cause a run's wall-time timer cancels it with, so a
+// wall-time halt is distinguishable from a user cancel.
 var errWallTime = errors.New("scheduler: wall time exceeded")
 
 // New wires a Scheduler to its collaborators and registers for their wake
@@ -300,7 +299,7 @@ func (s *Scheduler) tryStart(job *jobs.Job) startOutcome {
 		unclaim()
 		return blockedJob // not enough nodes right now
 	}
-	if err := s.cluster.AllocateNodesCtx(job.Context(), job.ID, nodes); err != nil {
+	if err := s.cluster.AllocateNodesTraced(job.Trace(), job.ID, nodes); err != nil {
 		unclaim()
 		return blockedJob // lost a race with another allocation
 	}
@@ -316,7 +315,7 @@ func (s *Scheduler) tryStart(job *jobs.Job) startOutcome {
 	go func() {
 		defer s.stopped.Done()
 		defer func() {
-			s.cluster.ReleaseCtx(job.Context(), job.ID)
+			s.cluster.ReleaseTraced(job.Trace(), job.ID)
 			s.store.Note(job.ID, "released", nil, "")
 			s.mu.Lock()
 			delete(s.inFlight, job.ID)
@@ -339,8 +338,8 @@ func (s *Scheduler) failJob(job *jobs.Job, reason string) {
 }
 
 // execute runs the full pipeline for one allocated job under the job's own
-// context: cancellation at any point unwinds the stage in progress, and the
-// wall-time limit is a deadline layered on the run.
+// context: cancellation at any point unwinds the stage in progress, and
+// runArtifact enforces the wall-time limit on the run.
 func (s *Scheduler) execute(job *jobs.Job) {
 	ctx := job.Context()
 	if err := s.store.Transition(job.ID, jobs.StateCompiling, ""); err != nil {
@@ -388,14 +387,12 @@ func (s *Scheduler) execute(job *jobs.Job) {
 	}
 	s.log.Infof("job %s running on %d node(s)", job.ID, job.Spec.Ranks)
 	snap := job.Snapshot()
-	runCtx, cancelRun := context.WithTimeoutCause(ctx, s.wallTime, errWallTime)
-	defer cancelRun()
-	err = s.runArtifact(runCtx, job, res.Artifact.Unit, snap.Nodes)
+	err = s.runArtifact(ctx, job, res.Artifact.Unit, snap.Nodes)
 	if err != nil {
 		if ctx.Err() != nil {
 			return // cancelled while running; the store already moved it
 		}
-		if errors.Is(context.Cause(runCtx), errWallTime) {
+		if errors.Is(err, errWallTime) {
 			s.failJob(job, fmt.Sprintf("exceeded wall time %v", s.wallTime))
 			return
 		}

@@ -3,8 +3,10 @@ package tenancy
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"repro/internal/dataprovider"
+	"repro/internal/jsonenc"
 )
 
 // Persistence surface. Two record kinds cover everything durable about a
@@ -24,6 +26,16 @@ type LimitsRecord struct {
 type StepsRecord struct {
 	User  string `json:"user"`
 	Steps int64  `json:"steps"`
+}
+
+// AppendJSON appends r as json.Marshal encodes it, so the journal records
+// every job's step charge without reflection.
+func (r StepsRecord) AppendJSON(b []byte) []byte {
+	b = append(b, `{"user":`...)
+	b = jsonenc.AppendString(b, r.User)
+	b = append(b, `,"steps":`...)
+	b = strconv.AppendInt(b, r.Steps, 10)
+	return append(b, '}')
 }
 
 // Record is one user's durable tenancy state, as exported into snapshots.

@@ -1,6 +1,8 @@
 package tenancy
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"sync"
 	"testing"
@@ -193,5 +195,23 @@ func TestExportImport(t *testing.T) {
 	}
 	if b.Steps("bob") != 77 {
 		t.Fatalf("steps after re-import = %d", b.Steps("bob"))
+	}
+}
+
+// TestStepsRecordMatchesJSON pins the steps record's append encoder to
+// json.Marshal, byte for byte.
+func TestStepsRecordMatchesJSON(t *testing.T) {
+	for _, rec := range []StepsRecord{
+		{User: "alice", Steps: 4},
+		{User: "bo <&> \"q\"\u2028", Steps: 1<<62 + 7},
+		{},
+	} {
+		want, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rec.AppendJSON(nil); !bytes.Equal(got, want) {
+			t.Errorf("got %s, want %s", got, want)
+		}
 	}
 }
