@@ -33,9 +33,11 @@ test:
 	$(GO) test ./...
 
 # race also runs the root package's watch tests: Watch.Close is documented
-# as safe while Next is blocked, and WaitJob follows a live stream.
+# as safe while Next is blocked, and WaitJob follows a live stream. The labs
+# package is the one that drives minic's thread handoffs: yield loops,
+# sem_trywait spins and five philosophers on semaphores.
 race:
-	$(GO) test -race ./internal/cluster/... ./internal/scheduler/... ./internal/jobs/... ./internal/mpi/... ./internal/topology/... ./internal/portal/... ./internal/minic/... ./internal/toolchain/... ./internal/dataprovider/... ./internal/auth/... ./internal/metrics/... ./internal/tenancy/... ./internal/trace/... ./internal/core/... ./internal/vfs/...
+	$(GO) test -race ./internal/cluster/... ./internal/scheduler/... ./internal/jobs/... ./internal/mpi/... ./internal/topology/... ./internal/portal/... ./internal/minic/... ./internal/labs/... ./internal/toolchain/... ./internal/dataprovider/... ./internal/auth/... ./internal/metrics/... ./internal/tenancy/... ./internal/trace/... ./internal/core/... ./internal/vfs/...
 	$(GO) test -race -run '^TestClient(Watch|WaitJob)' .
 
 # portalbench-test vets and tests the benchmark's own module. The root

@@ -215,58 +215,66 @@ func TestAllMinicSourcesCompile(t *testing.T) {
 	}
 }
 
-// runMinic executes a lab source sequentially and returns stdout.
-func runMinic(t *testing.T, src string) string {
+// runMinic executes a lab source as one rank at seed and returns stdout.
+func runMinic(t *testing.T, src string, seed int64) string {
 	t.Helper()
 	u, err := minic.CompileSource(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	m := minic.NewMachine(u, minic.MachineConfig{Out: &out, StepBudget: 500_000_000})
+	m := minic.NewMachine(u, minic.MachineConfig{Out: &out, StepBudget: 500_000_000, Seed: seed})
 	if _, err := m.Run(); err != nil {
 		t.Fatalf("run: %v (output %q)", err, out.String())
 	}
 	return out.String()
 }
 
+// sweepSeeds runs a single-rank lab source twice at each of seeds 1-10,
+// requires the two runs to print the same bytes, and returns how many seeds
+// passed the lab's check.
+func sweepSeeds(t *testing.T, id ID, fixed bool) int {
+	t.Helper()
+	src, want := MinicSource(id, fixed), ExpectedOutput(id)
+	passed := 0
+	for seed := int64(1); seed <= 10; seed++ {
+		out := runMinic(t, src, seed)
+		if again := runMinic(t, src, seed); again != out {
+			t.Errorf("lab %v fixed=%v seed %d: runs printed %q and %q", id, fixed, seed, out, again)
+		}
+		if strings.Contains(out, want) {
+			passed++
+		}
+	}
+	return passed
+}
+
 func TestFixedMinicSourcesProduceExpectedOutput(t *testing.T) {
-	// Lab 3 needs a 20-rank cluster job; the others run sequentially.
+	// Lab 3 needs a 20-rank cluster job; the others run as one rank, and
+	// pass on every seed.
 	for _, id := range All() {
 		if id == Lab3UMANUMA {
 			continue
 		}
-		out := runMinic(t, MinicSource(id, true))
-		want := ExpectedOutput(id)
-		if !strings.Contains(out, want) {
-			t.Errorf("lab %v fixed output %q missing %q", id, out, want)
+		if passed := sweepSeeds(t, id, true); passed != 10 {
+			t.Errorf("lab %v fixed source passed on %d of 10 seeds", id, passed)
 		}
 	}
 }
 
 func TestBuggyMinicSourcesFailTheCheck(t *testing.T) {
-	// The deterministic buggy labs (6) must fail every time; the racy ones
-	// must fail within a few trials.
-	deterministic := map[ID]bool{Lab6Deadlock: true}
+	// Each racy buggy source fails on at least 9 of 10 seeds; Lab 6's
+	// cyclic hold-and-wait fails on every one.
 	for _, id := range All() {
 		if id == Lab3UMANUMA {
 			continue // needs the cluster; covered by the grading tests
 		}
-		want := ExpectedOutput(id)
-		trials := 5
-		if deterministic[id] {
-			trials = 1
+		minFailed := 9
+		if id == Lab6Deadlock {
+			minFailed = 10
 		}
-		failed := false
-		for trial := 0; trial < trials; trial++ {
-			out := runMinic(t, MinicSource(id, false))
-			if !strings.Contains(out, want) {
-				failed = true
-				break
-			}
-		}
-		if !failed {
-			t.Errorf("lab %v buggy source passed the check %d times", id, trials)
+		if failed := 10 - sweepSeeds(t, id, false); failed < minFailed {
+			t.Errorf("lab %v buggy source failed on %d of 10 seeds, want >= %d", id, failed, minFailed)
 		}
 	}
 }

@@ -6,10 +6,12 @@
 // a real pipeline: lexer → recursive-descent parser → semantic checks →
 // bytecode compiler → stack VM.
 //
-// The language is small but genuinely parallel: programs can spawn threads,
-// guard shared globals with mutexes and semaphores (the labs' subject
-// matter), and, when launched as a multi-rank cluster job, exchange messages
-// through MPI-style builtins (rank, size, send, recv, barrier, reduce).
+// The language is small but concurrent: programs can spawn threads, guard
+// shared globals with mutexes and semaphores (the labs' subject matter),
+// and, when launched as a multi-rank cluster job, exchange messages through
+// MPI-style builtins (rank, size, send, recv, barrier, reduce). A rank's
+// threads take turns on one run token, handed on at seeded points, so a race
+// a lab teaches replays from the seed; ranks run in parallel.
 package minic
 
 import (

@@ -5,9 +5,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"sync"
-
-	"repro/internal/primitives"
 )
 
 // ValueKind tags a runtime value.
@@ -52,9 +49,10 @@ func (k ValueKind) String() string {
 	}
 }
 
-// Array is a shared, mutable array value. Element access is serialized by
-// the owning machine's memory lock, so Go-level memory stays safe while
-// language-level races (load/compute/store interleavings) remain observable.
+// Array is a shared, mutable array value. Only the thread holding its
+// machine's run token reads or writes the elements, so Go-level memory stays
+// safe while language-level races (a load, a yield, a store) remain
+// observable.
 type Array struct {
 	Elems []Value
 }
@@ -66,8 +64,8 @@ type Value struct {
 	F    float64
 	S    string
 	Arr  *Array
-	Mu   *sync.Mutex
-	Sem  *primitives.Semaphore
+	Mu   *Mutex
+	Sem  *Semaphore
 	Th   *Thread
 }
 
@@ -420,10 +418,9 @@ func encodeValue(v Value) ([]byte, error) {
 // allocation limit so a corrupt frame cannot ask for an absurd allocation.
 const maxSendElems = 1 << 22
 
-// encodeArray serializes an array snapshot for the message-passing builtins:
+// encodeArray serializes array elements for the message-passing builtins:
 // a kind byte, a little-endian element count, then each element as its
-// 9-byte scalar frame. Only numeric and bool elements travel; the caller
-// must have snapshotted elems under the machine's memory lock.
+// 9-byte scalar frame. Only numeric and bool elements travel.
 func encodeArray(elems []Value) ([]byte, error) {
 	b := make([]byte, 5, 5+9*len(elems))
 	b[0] = byte(KindArray)

@@ -12,8 +12,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/primitives"
 )
 
 // ErrStepBudget is returned when a program exceeds its instruction budget —
@@ -94,14 +92,6 @@ func (NoMPI) ElapsedNS() int64 { return 0 }
 // Tick is a no-op.
 func (NoMPI) Tick(int64) {}
 
-// Thread is a spawned minic thread.
-type Thread struct {
-	id     int64
-	done   chan struct{}
-	result Value
-	err    error
-}
-
 // MachineConfig configures an execution.
 type MachineConfig struct {
 	// Out receives print output; nil discards it.
@@ -113,7 +103,9 @@ type MachineConfig struct {
 	// StepBudget bounds total interpreted instructions across all threads;
 	// 0 means the default of 50 million.
 	StepBudget int64
-	// Seed seeds the deterministic random() builtin.
+	// Seed seeds the deterministic random() builtin and, separately, the
+	// picker that chooses which thread runs next: the same source and seed
+	// give the same interleaving.
 	Seed int64
 	// Ctx halts execution with ErrCancelled when it dies. The interpreter
 	// checks it every cancelCheckInterval instructions, so the per-opcode
@@ -121,29 +113,33 @@ type MachineConfig struct {
 	Ctx context.Context
 }
 
-// Machine executes one compiled Unit as one process (one MPI rank).
+// Machine executes one compiled Unit as one process (one MPI rank). Its
+// threads take turns holding a run token (see sched), so only the holder
+// touches globals, arrays, output and the random() generator.
 type Machine struct {
 	unit  *Unit
 	hooks MPIHooks
 	ctx   context.Context
 
-	outMu sync.Mutex
 	out   io.Writer
-	inMu  sync.Mutex
+	inMu  sync.Mutex // readline reads without the token
 	inSrc io.Reader
 	in    *bufio.Reader // wraps inSrc on the first readline()
 
-	memMu   sync.Mutex // guards globals and array elements
 	globals []Value
 
-	steps    atomic.Int64
-	budget   int64
-	rngMu    sync.Mutex
-	seed     int64
-	rng      *rand.Rand // seeded on the first random()
-	threads  sync.WaitGroup
-	threadID atomic.Int64
+	steps  atomic.Int64
+	budget int64
+	seed   int64
+	rng    *rand.Rand // seeded on the first random()
 
+	sched    sched
+	main     Thread
+	threadID int64
+	threads  sync.WaitGroup
+
+	// errMu guards firstErr: threads that a cancel or a deadlock wakes
+	// unwind without the token.
 	errMu    sync.Mutex
 	firstErr error
 }
@@ -195,13 +191,17 @@ func (m *Machine) Run() (Value, error) {
 	if m.ctx.Err() != nil {
 		return UnitValue(), ErrCancelled
 	}
-	if err := m.runInit(); err != nil {
-		return UnitValue(), err
+	m.main = Thread{wake: m.main.wake}
+	m.sched.reset(&m.main, m.seed)
+	res := UnitValue()
+	err := m.runInit()
+	if err == nil {
+		res, err = m.callFunction(&m.main, m.unit.Funcs[m.unit.EntryPoint], nil)
 	}
-	res, err := m.callFunction(m.unit.EntryPoint, nil, 0)
 	if err != nil {
 		m.recordErr(err)
 	}
+	m.exit(&m.main)
 	m.threads.Wait()
 	m.errMu.Lock()
 	first := m.firstErr
@@ -214,12 +214,7 @@ func (m *Machine) runInit() error {
 		return nil
 	}
 	f := &CompiledFunc{Name: "<init>", Code: m.unit.GlobalInit, MaxStack: m.unit.InitMaxStack}
-	st := getFrameArena()
-	_, err := m.exec(st, f, 0, 0)
-	if ferr := m.flushSteps(st); err == nil {
-		err = ferr
-	}
-	putFrameArena(st)
+	_, err := m.callFunction(&m.main, f, nil)
 	return err
 }
 
@@ -227,12 +222,12 @@ func (m *Machine) runInit() error {
 // with a diagnostic instead of exhausting the Go stack.
 const maxCallDepth = 10_000
 
-// cancelCheckInterval is how many interpreted instructions a goroutine may
+// cancelCheckInterval is how many interpreted instructions a thread may
 // execute between flushes of its local step counter into the machine-wide
-// atomic — which is also where the context and budget are checked. The
+// atomic — which is also where the context and budget are checked, and
+// where its quantum ends and the run token may pass to another thread. The
 // per-opcode fast path is therefore a register increment and compare; the
-// budget bound and cancellation latency hold to within one interval per
-// running thread.
+// budget bound and cancellation latency hold to within one interval.
 const cancelCheckInterval = 1 << 12
 
 // frameArena is one goroutine's reusable execution state: a slab of Value
@@ -275,9 +270,10 @@ func (st *frameArena) grow(need int) {
 }
 
 // flushSteps publishes the goroutine's batched step count and performs the
-// budget and cancellation checks. It is called when a batch fills, around
-// potentially blocking builtins, at spawn handoff, and at top-level return —
-// so Steps() lags true progress by at most one batch per running thread.
+// budget and cancellation checks. It is called when a batch fills, before
+// builtins that can block on I/O or a peer rank, when a thread parks or
+// yields the token to another, and at top-level return — so Steps() lags
+// true progress by at most one batch.
 func (m *Machine) flushSteps(st *frameArena) error {
 	if st.pending == 0 {
 		return nil
@@ -307,21 +303,22 @@ func SetStackAudit(on bool) bool { return stackAudit.Swap(on) }
 // underestimated MaxStack is caught by the audit, not by a bounds panic.
 const stackAuditHeadroom = 64
 
-// callFunction runs Funcs[fi] with args on a pooled frame arena in the
+// callFunction runs f with args as thread t, on a pooled frame arena in the
 // current goroutine. It is the entry point for Run and for spawned threads;
 // calls between minic functions stay inside exec and share the caller's
 // arena.
-func (m *Machine) callFunction(fi int, args []Value, depth int) (Value, error) {
-	f := m.unit.Funcs[fi]
+func (m *Machine) callFunction(t *Thread, f *CompiledFunc, args []Value) (Value, error) {
 	st := getFrameArena()
 	if len(args) > len(st.arena) {
 		st.grow(len(args))
 	}
 	copy(st.arena, args)
-	v, err := m.exec(st, f, 0, depth)
+	t.st = st
+	v, err := m.exec(st, f, 0, 0)
 	if ferr := m.flushSteps(st); err == nil {
 		err = ferr
 	}
+	t.st = nil
 	putFrameArena(st)
 	return v, err
 }
@@ -355,7 +352,7 @@ func (m *Machine) exec(st *frameArena, f *CompiledFunc, base, depth int) (Value,
 	for pc := 0; pc < len(code); pc++ {
 		st.pending++
 		if st.pending >= cancelCheckInterval {
-			if err := m.flushSteps(st); err != nil {
+			if err := m.endQuantum(st); err != nil {
 				return UnitValue(), err
 			}
 		}
@@ -375,15 +372,11 @@ func (m *Machine) exec(st *frameArena, f *CompiledFunc, base, depth int) (Value,
 			sp--
 			locals[in.A] = stack[sp]
 		case OpLoadGlobal:
-			m.memMu.Lock()
 			stack[sp] = m.globals[in.A]
-			m.memMu.Unlock()
 			sp++
 		case OpStoreGlobal:
 			sp--
-			m.memMu.Lock()
 			m.globals[in.A] = stack[sp]
-			m.memMu.Unlock()
 		case OpJump:
 			pc = in.A - 1
 		case OpJumpIfFalse:
@@ -410,8 +403,8 @@ func (m *Machine) exec(st *frameArena, f *CompiledFunc, base, depth int) (Value,
 			stack[sp] = v
 			sp++
 		case OpCallBuiltin:
-			// A builtin that can block (join, sem_wait, recv, ...) flushes
-			// first, so a stalled thread's steps are visible and
+			// A builtin that can block on I/O or a peer rank (print, recv,
+			// ...) flushes first, so a stalled rank's steps are visible and
 			// cancellation is observed; the rest run inside the batch.
 			b := &builtins[in.A]
 			if b.blocks {
@@ -427,9 +420,6 @@ func (m *Machine) exec(st *frameArena, f *CompiledFunc, base, depth int) (Value,
 			stack[sp] = v
 			sp++
 		case OpSpawn:
-			if err := m.flushSteps(st); err != nil {
-				return UnitValue(), err
-			}
 			// The spawned thread outlives this frame: copy the arguments out
 			// of the shared arena. This is the one argument copy left.
 			args := make([]Value, in.B)
@@ -509,15 +499,11 @@ func (m *Machine) indexGet(arr, idx *Value, line int) (Value, error) {
 	}
 	switch arr.Kind {
 	case KindArray:
-		m.memMu.Lock()
 		elems := arr.Arr.Elems
 		if idx.I < 0 || idx.I >= int64(len(elems)) {
-			m.memMu.Unlock()
 			return Value{}, errAt(line, 0, "index %d out of range [0,%d)", idx.I, len(elems))
 		}
-		v := elems[idx.I]
-		m.memMu.Unlock()
-		return v, nil
+		return elems[idx.I], nil
 	case KindString:
 		if idx.I < 0 || idx.I >= int64(len(arr.S)) {
 			return Value{}, errAt(line, 0, "index %d out of range [0,%d)", idx.I, len(arr.S))
@@ -535,31 +521,12 @@ func (m *Machine) indexSet(arr, idx, val *Value, line int) error {
 	if idx.Kind != KindInt {
 		return errAt(line, 0, "array index is %s, not int", idx.Kind)
 	}
-	m.memMu.Lock()
 	elems := arr.Arr.Elems
 	if idx.I < 0 || idx.I >= int64(len(elems)) {
-		m.memMu.Unlock()
 		return errAt(line, 0, "index %d out of range [0,%d)", idx.I, len(elems))
 	}
 	elems[idx.I] = *val
-	m.memMu.Unlock()
 	return nil
-}
-
-func (m *Machine) spawn(fi int, args []Value) Value {
-	t := &Thread{id: m.threadID.Add(1), done: make(chan struct{})}
-	m.threads.Add(1)
-	go func() {
-		defer m.threads.Done()
-		defer close(t.done)
-		res, err := m.callFunction(fi, args, 0)
-		t.result = res
-		t.err = err
-		if err != nil {
-			m.recordErr(fmt.Errorf("thread %d: %w", t.id, err))
-		}
-	}()
-	return Value{Kind: KindThread, I: t.id, Th: t}
 }
 
 // --- builtins ----------------------------------------------------------------
@@ -568,9 +535,10 @@ type builtinSpec struct {
 	name  string
 	arity int // -1 means variadic
 	fn    func(m *Machine, args []Value, line int) (Value, error)
-	// blocks marks a builtin that can wait on I/O, a peer rank, another
-	// thread or the scheduler; the interpreter flushes its step batch
-	// before calling one.
+	// blocks marks a builtin that can wait on I/O or a peer rank; the
+	// interpreter flushes its step batch before calling one. The thread
+	// builtins flush for themselves, only when they park or hand the run
+	// token to another thread.
 	blocks bool
 }
 
@@ -613,14 +581,14 @@ func init() {
 		{"time_ns", 0, biTimeNS, false},
 		{"work_ns", 1, biWorkNS, false},
 		{"mutex", 0, biMutex, false},
-		{"lock", 1, biLock, true},
+		{"lock", 1, biLock, false},
 		{"unlock", 1, biUnlock, false},
 		{"sem", 1, biSem, false},
-		{"sem_wait", 1, biSemWait, true},
+		{"sem_wait", 1, biSemWait, false},
 		{"sem_signal", 1, biSemSignal, false},
 		{"sem_trywait", 1, biSemTryWait, false},
-		{"join", 1, biJoin, true},
-		{"yield", 0, biYield, true},
+		{"join", 1, biJoin, false},
+		{"yield", 0, biYield, false},
 	}
 	builtinIndex = make(map[string]int, len(builtins))
 	for i, b := range builtins {
@@ -641,8 +609,6 @@ func (m *Machine) printArgs(args []Value, nl bool) {
 	if nl {
 		sb.WriteByte('\n')
 	}
-	m.outMu.Lock()
-	defer m.outMu.Unlock()
 	io.WriteString(m.out, sb.String())
 }
 
@@ -661,10 +627,7 @@ func biLen(m *Machine, args []Value, line int) (Value, error) {
 	case KindString:
 		return IntValue(int64(len(args[0].S))), nil
 	case KindArray:
-		m.memMu.Lock()
-		n := len(args[0].Arr.Elems)
-		m.memMu.Unlock()
-		return IntValue(int64(n)), nil
+		return IntValue(int64(len(args[0].Arr.Elems))), nil
 	default:
 		return Value{}, errAt(line, 0, "len of %s", args[0].Kind)
 	}
@@ -777,12 +740,16 @@ func biSqrt(_ *Machine, args []Value, line int) (Value, error) {
 }
 
 func biReadline(m *Machine, _ []Value, _ int) (Value, error) {
+	t := m.leave()
 	m.inMu.Lock()
-	defer m.inMu.Unlock()
 	if m.in == nil {
 		m.in = bufio.NewReader(m.inSrc)
 	}
 	line, err := m.in.ReadString('\n')
+	m.inMu.Unlock()
+	if terr := m.enter(t); terr != nil {
+		return Value{}, terr
+	}
 	if err != nil && line == "" {
 		return StringValue(""), nil // EOF → empty string
 	}
@@ -793,13 +760,10 @@ func biRandom(m *Machine, args []Value, line int) (Value, error) {
 	if args[0].Kind != KindInt || args[0].I <= 0 {
 		return Value{}, errAt(line, 0, "random needs a positive int bound")
 	}
-	m.rngMu.Lock()
 	if m.rng == nil {
 		m.rng = rand.New(rand.NewSource(m.seed))
 	}
-	v := m.rng.Int63n(args[0].I)
-	m.rngMu.Unlock()
-	return IntValue(v), nil
+	return IntValue(m.rng.Int63n(args[0].I)), nil
 }
 
 func biAssert(_ *Machine, args []Value, line int) (Value, error) {
@@ -820,33 +784,32 @@ func biSize(m *Machine, _ []Value, _ int) (Value, error) {
 	return IntValue(int64(m.hooks.Size())), nil
 }
 
-// snapshotArray copies an array's elements under the memory lock, so a
-// message carries a consistent view even while sibling threads mutate it.
-func (m *Machine) snapshotArray(a *Array) []Value {
-	m.memMu.Lock()
-	elems := append([]Value(nil), a.Elems...)
-	m.memMu.Unlock()
-	return elems
-}
-
-// encodeForSend serializes any sendable value, snapshotting arrays under the
-// memory lock first.
-func (m *Machine) encodeForSend(v Value) ([]byte, error) {
+// encodeForSend serializes any sendable value. Its caller holds the run
+// token, so an array is encoded straight from its elements.
+func encodeForSend(v Value) ([]byte, error) {
 	if v.Kind == KindArray {
-		return encodeArray(m.snapshotArray(v.Arr))
+		return encodeArray(v.Arr.Elems)
 	}
 	return encodeValue(v)
 }
+
+// The message-passing builtins release the run token only around the hook
+// call, after they have copied what they send: leave before it, enter after.
 
 func biSend(m *Machine, args []Value, line int) (Value, error) {
 	if args[0].Kind != KindInt {
 		return Value{}, errAt(line, 0, "send destination must be an int rank")
 	}
-	data, err := m.encodeForSend(args[1])
+	data, err := encodeForSend(args[1])
 	if err != nil {
 		return Value{}, errAt(line, 0, "%v", err)
 	}
-	if err := m.hooks.Send(int(args[0].I), data); err != nil {
+	t := m.leave()
+	err = m.hooks.Send(int(args[0].I), data)
+	if terr := m.enter(t); terr != nil {
+		return Value{}, terr
+	}
+	if err != nil {
 		return Value{}, errAt(line, 0, "send: %v", err)
 	}
 	return UnitValue(), nil
@@ -856,7 +819,11 @@ func biRecv(m *Machine, args []Value, line int) (Value, error) {
 	if args[0].Kind != KindInt {
 		return Value{}, errAt(line, 0, "recv source must be an int rank")
 	}
+	t := m.leave()
 	data, err := m.hooks.Recv(int(args[0].I))
+	if terr := m.enter(t); terr != nil {
+		return Value{}, terr
+	}
 	if err != nil {
 		return Value{}, errAt(line, 0, "recv: %v", err)
 	}
@@ -868,7 +835,12 @@ func biRecv(m *Machine, args []Value, line int) (Value, error) {
 }
 
 func biBarrier(m *Machine, _ []Value, line int) (Value, error) {
-	if err := m.hooks.Barrier(); err != nil {
+	t := m.leave()
+	err := m.hooks.Barrier()
+	if terr := m.enter(t); terr != nil {
+		return Value{}, terr
+	}
+	if err != nil {
 		return Value{}, errAt(line, 0, "barrier: %v", err)
 	}
 	return UnitValue(), nil
@@ -878,11 +850,15 @@ func biBcast(m *Machine, args []Value, line int) (Value, error) {
 	if args[0].Kind != KindInt {
 		return Value{}, errAt(line, 0, "bcast root must be an int rank")
 	}
-	data, err := m.encodeForSend(args[1])
+	data, err := encodeForSend(args[1])
 	if err != nil {
 		return Value{}, errAt(line, 0, "%v", err)
 	}
+	t := m.leave()
 	out, err := m.hooks.Bcast(int(args[0].I), data)
+	if terr := m.enter(t); terr != nil {
+		return Value{}, terr
+	}
 	if err != nil {
 		return Value{}, errAt(line, 0, "bcast: %v", err)
 	}
@@ -896,8 +872,9 @@ func biBcast(m *Machine, args []Value, line int) (Value, error) {
 func reduceWith(m *Machine, op string, args []Value, line int) (Value, error) {
 	if args[0].Kind == KindArray {
 		// Whole-array reduction travels as one vector collective instead of
-		// one message per element.
-		elems := m.snapshotArray(args[0].Arr)
+		// one message per element. The copy keeps the element kinds that
+		// the result follows, whatever other threads store meanwhile.
+		elems := append([]Value(nil), args[0].Arr.Elems...)
 		vec := make([]float64, len(elems))
 		for i, e := range elems {
 			f, ok := e.numeric()
@@ -906,7 +883,11 @@ func reduceWith(m *Machine, op string, args []Value, line int) (Value, error) {
 			}
 			vec[i] = f
 		}
+		t := m.leave()
 		out, err := m.hooks.AllReduceFloats(op, vec)
+		if terr := m.enter(t); terr != nil {
+			return Value{}, terr
+		}
 		if err != nil {
 			return Value{}, errAt(line, 0, "reduce: %v", err)
 		}
@@ -926,7 +907,11 @@ func reduceWith(m *Machine, op string, args []Value, line int) (Value, error) {
 	if !ok {
 		return Value{}, errAt(line, 0, "reduce needs a numeric value")
 	}
+	t := m.leave()
 	out, err := m.hooks.AllReduce(op, f)
+	if terr := m.enter(t); terr != nil {
+		return Value{}, terr
+	}
 	if err != nil {
 		return Value{}, errAt(line, 0, "reduce: %v", err)
 	}
@@ -938,11 +923,10 @@ func reduceWith(m *Machine, op string, args []Value, line int) (Value, error) {
 
 // floatVec flattens a numeric scalar or array argument into a float vector
 // for the vector collectives.
-func (m *Machine) floatVec(v Value, line int) ([]float64, error) {
+func floatVec(v Value, line int) ([]float64, error) {
 	if v.Kind == KindArray {
-		elems := m.snapshotArray(v.Arr)
-		vec := make([]float64, len(elems))
-		for i, e := range elems {
+		vec := make([]float64, len(v.Arr.Elems))
+		for i, e := range v.Arr.Elems {
 			f, ok := e.numeric()
 			if !ok {
 				return nil, errAt(line, 0, "collective needs numeric array elements, got %s", e.Kind)
@@ -970,11 +954,15 @@ func biGather(m *Machine, args []Value, line int) (Value, error) {
 	if args[0].Kind != KindInt {
 		return Value{}, errAt(line, 0, "gather root must be an int rank")
 	}
-	vec, err := m.floatVec(args[1], line)
+	vec, err := floatVec(args[1], line)
 	if err != nil {
 		return Value{}, err
 	}
+	t := m.leave()
 	out, err := m.hooks.GatherFloats(int(args[0].I), vec)
+	if terr := m.enter(t); terr != nil {
+		return Value{}, terr
+	}
 	if err != nil {
 		return Value{}, errAt(line, 0, "gather: %v", err)
 	}
@@ -990,12 +978,16 @@ func biScatter(m *Machine, args []Value, line int) (Value, error) {
 	var vec []float64
 	if m.hooks.Rank() == int(args[0].I) {
 		var err error
-		vec, err = m.floatVec(args[1], line)
+		vec, err = floatVec(args[1], line)
 		if err != nil {
 			return Value{}, err
 		}
 	}
+	t := m.leave()
 	out, err := m.hooks.ScatterFloats(int(args[0].I), vec)
+	if terr := m.enter(t); terr != nil {
+		return Value{}, terr
+	}
 	if err != nil {
 		return Value{}, errAt(line, 0, "scatter: %v", err)
 	}
@@ -1024,73 +1016,5 @@ func biWorkNS(m *Machine, args []Value, line int) (Value, error) {
 		return Value{}, errAt(line, 0, "work_ns needs a non-negative int")
 	}
 	m.hooks.Tick(args[0].I)
-	return UnitValue(), nil
-}
-
-func biMutex(_ *Machine, _ []Value, _ int) (Value, error) {
-	return Value{Kind: KindMutex, Mu: &sync.Mutex{}}, nil
-}
-
-func biLock(_ *Machine, args []Value, line int) (Value, error) {
-	if args[0].Kind != KindMutex {
-		return Value{}, errAt(line, 0, "lock needs a mutex, got %s", args[0].Kind)
-	}
-	args[0].Mu.Lock()
-	return UnitValue(), nil
-}
-
-func biUnlock(_ *Machine, args []Value, line int) (Value, error) {
-	if args[0].Kind != KindMutex {
-		return Value{}, errAt(line, 0, "unlock needs a mutex, got %s", args[0].Kind)
-	}
-	args[0].Mu.Unlock()
-	return UnitValue(), nil
-}
-
-func biSem(_ *Machine, args []Value, line int) (Value, error) {
-	if args[0].Kind != KindInt || args[0].I < 0 {
-		return Value{}, errAt(line, 0, "sem needs a non-negative initial value")
-	}
-	return Value{Kind: KindSem, Sem: primitives.NewSemaphore(int(args[0].I))}, nil
-}
-
-func biSemWait(_ *Machine, args []Value, line int) (Value, error) {
-	if args[0].Kind != KindSem {
-		return Value{}, errAt(line, 0, "sem_wait needs a semaphore")
-	}
-	args[0].Sem.Wait()
-	return UnitValue(), nil
-}
-
-func biSemSignal(_ *Machine, args []Value, line int) (Value, error) {
-	if args[0].Kind != KindSem {
-		return Value{}, errAt(line, 0, "sem_signal needs a semaphore")
-	}
-	args[0].Sem.Signal()
-	return UnitValue(), nil
-}
-
-func biSemTryWait(_ *Machine, args []Value, line int) (Value, error) {
-	if args[0].Kind != KindSem {
-		return Value{}, errAt(line, 0, "sem_trywait needs a semaphore")
-	}
-	return BoolValue(args[0].Sem.TryWait()), nil
-}
-
-func biJoin(_ *Machine, args []Value, line int) (Value, error) {
-	if args[0].Kind != KindThread {
-		return Value{}, errAt(line, 0, "join needs a thread handle, got %s", args[0].Kind)
-	}
-	<-args[0].Th.done
-	if args[0].Th.err != nil {
-		return Value{}, args[0].Th.err
-	}
-	return args[0].Th.result, nil
-}
-
-func biYield(_ *Machine, _ []Value, _ int) (Value, error) {
-	// Gives other threads a chance to run; makes race interleavings in
-	// the teaching labs much more likely.
-	yieldNow()
 	return UnitValue(), nil
 }

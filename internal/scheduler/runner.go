@@ -17,8 +17,9 @@ import (
 
 // drainGrace bounds how long a cancelled job's ranks get to observe their
 // dead context before runArtifact abandons them. The context halts the VM
-// loop and unblocks MPI waits, but a program deadlocked on its own
-// semaphores cannot be reaped.
+// loop, wakes threads parked on a minic mutex, semaphore or join, and
+// unblocks MPI waits; only a rank stuck in a hook that ignores the context
+// outlives it.
 const drainGrace = 2 * time.Second
 
 // commHooks adapts an mpi.Comm to the minic VM's MPIHooks interface, so a
@@ -241,10 +242,12 @@ func (s *Scheduler) runArtifact(ctx context.Context, job *jobs.Job, unit *minic.
 	select {
 	case <-done:
 	case <-runCtx.Done():
-		// The dead context halts each rank's interpreter loop and aborts
-		// blocked MPI calls; closing stdin unblocks a rank parked in
-		// readline(). Give the ranks a short grace to unwind, then abandon
-		// them (a program deadlocked on its own semaphores is unreapable).
+		// The dead context halts each rank's interpreter loop, wakes its
+		// parked threads and aborts blocked MPI calls; closing stdin
+		// unblocks a rank waiting in readline(). Give the ranks a short
+		// grace to unwind, then abandon them. A rank whose threads deadlock
+		// on each other does not wait for a cancel: its VM fails it with
+		// minic.ErrDeadlock at once.
 		job.Stdin.Close()
 		select {
 		case <-done:
