@@ -64,12 +64,13 @@ bench:
 
 # bench-vm measures the minic interpreter (microbenchmarks in
 # internal/minic/bench_test.go plus the end-to-end BenchmarkMinicExecute and
-# BenchmarkPortalPipeline) and records ns/op + allocs/op in BENCH_vm.json so
-# later changes have a trajectory to regress against. Not part of check:
-# benchmark walltime is too noisy for a CI gate.
+# BenchmarkPortalPipeline) five times each and records the median ns/op,
+# its range and allocs/op in BENCH_vm.json so later changes have a
+# trajectory to regress against. Not part of check: benchmark walltime is
+# too noisy for a CI gate.
 bench-vm:
-	{ $(GO) test -run '^$$' -bench BenchmarkVM -benchmem -benchtime 1s ./internal/minic/ ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkMinicExecute|BenchmarkMinicCompile|BenchmarkPortalPipeline' -benchmem -benchtime 1s . ; } \
+	{ $(GO) test -run '^$$' -bench BenchmarkVM -benchmem -benchtime 1s -count 5 ./internal/minic/ ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkMinicExecute|BenchmarkMinicCompile|BenchmarkPortalPipeline' -benchmem -benchtime 1s -count 5 . ; } \
 	| $(GO) run ./cmd/benchjson -o BENCH_vm.json
 	@cat BENCH_vm.json
 

@@ -64,3 +64,33 @@ func TestReportMetricLandsInExtra(t *testing.T) {
 		t.Errorf("entry = %v", e)
 	}
 }
+
+// TestRepeatedBenchmarkKeepsEverySample: under go test -count 3 one name
+// appears on three lines, and the entry is their median with n and the
+// range of ns/op, not whichever line came last.
+func TestRepeatedBenchmarkKeepsEverySample(t *testing.T) {
+	in := "BenchmarkVMLab1-2   \t     300\t   3900000 ns/op\t         7.40 ns/step\t    5000 B/op\t      40 allocs/op\n" +
+		"BenchmarkVMLab1-2   \t     400\t   3100000 ns/op\t         5.90 ns/step\t    4800 B/op\t      40 allocs/op\n" +
+		"BenchmarkVMLab1-2   \t     350\t   3500000 ns/op\t         6.60 ns/step\t    5200 B/op\t      41 allocs/op\n"
+	entries, err := parse(bufio.NewScanner(strings.NewReader(in)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, ok := entries["BenchmarkVMLab1"]
+	if !ok || len(entries) != 1 {
+		t.Fatalf("entries = %v", entries)
+	}
+	if e.N != 3 || e.NsPerOp != 3500000 || e.NsPerOpMin != 3100000 || e.NsPerOpMax != 3900000 || e.Iterations != 350 {
+		t.Errorf("entry = %+v, want n 3, ns/op 3500000 in [3100000, 3900000], 350 iterations", e)
+	}
+	if e.Extra["ns/step"] != 6.60 {
+		t.Errorf("ns/step = %v, want the median 6.60", e.Extra["ns/step"])
+	}
+	if e.BytesPerOp == nil || *e.BytesPerOp != 5000 || e.AllocsPerOp == nil || *e.AllocsPerOp != 40 {
+		t.Errorf("memory columns = %v B/op, %v allocs/op, want medians 5000 and 40", e.BytesPerOp, e.AllocsPerOp)
+	}
+	one := encode(t, "BenchmarkVMLab1-2   \t     300\t   3900000 ns/op")
+	if one["n"] != 1.0 || one["ns_per_op_min"] != 3900000.0 || one["ns_per_op_max"] != 3900000.0 {
+		t.Errorf("single line = %v, want n 1 and its ns/op as min and max", one)
+	}
+}

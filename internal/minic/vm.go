@@ -499,16 +499,17 @@ func (m *Machine) indexGet(arr, idx *Value, line int) (Value, error) {
 	}
 	switch arr.Kind {
 	case KindArray:
-		elems := arr.Arr.Elems
+		elems := arr.Arr().Elems
 		if idx.I < 0 || idx.I >= int64(len(elems)) {
 			return Value{}, errAt(line, 0, "index %d out of range [0,%d)", idx.I, len(elems))
 		}
 		return elems[idx.I], nil
 	case KindString:
-		if idx.I < 0 || idx.I >= int64(len(arr.S)) {
-			return Value{}, errAt(line, 0, "index %d out of range [0,%d)", idx.I, len(arr.S))
+		s := arr.Str()
+		if idx.I < 0 || idx.I >= int64(len(s)) {
+			return Value{}, errAt(line, 0, "index %d out of range [0,%d)", idx.I, len(s))
 		}
-		return StringValue(string(arr.S[idx.I])), nil
+		return StringValue(string(s[idx.I])), nil
 	default:
 		return Value{}, errAt(line, 0, "cannot index a %s", arr.Kind)
 	}
@@ -521,7 +522,7 @@ func (m *Machine) indexSet(arr, idx, val *Value, line int) error {
 	if idx.Kind != KindInt {
 		return errAt(line, 0, "array index is %s, not int", idx.Kind)
 	}
-	elems := arr.Arr.Elems
+	elems := arr.Arr().Elems
 	if idx.I < 0 || idx.I >= int64(len(elems)) {
 		return errAt(line, 0, "index %d out of range [0,%d)", idx.I, len(elems))
 	}
@@ -625,9 +626,9 @@ func biPrintln(m *Machine, args []Value, _ int) (Value, error) {
 func biLen(m *Machine, args []Value, line int) (Value, error) {
 	switch args[0].Kind {
 	case KindString:
-		return IntValue(int64(len(args[0].S))), nil
+		return IntValue(args[0].I), nil // a string's I is its length
 	case KindArray:
-		return IntValue(int64(len(args[0].Arr.Elems))), nil
+		return IntValue(int64(len(args[0].Arr().Elems))), nil
 	default:
 		return Value{}, errAt(line, 0, "len of %s", args[0].Kind)
 	}
@@ -644,16 +645,17 @@ func biArray(m *Machine, args []Value, line int) (Value, error) {
 	for i := range elems {
 		elems[i] = IntValue(0)
 	}
-	return Value{Kind: KindArray, Arr: &Array{Elems: elems}}, nil
+	return arrayValue(elems), nil
 }
 
 func biAtoi(_ *Machine, args []Value, line int) (Value, error) {
 	if args[0].Kind != KindString {
 		return Value{}, errAt(line, 0, "atoi needs a string")
 	}
-	n, err := strconv.ParseInt(strings.TrimSpace(args[0].S), 10, 64)
+	s := args[0].Str()
+	n, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
 	if err != nil {
-		return Value{}, errAt(line, 0, "atoi(%q): not a number", args[0].S)
+		return Value{}, errAt(line, 0, "atoi(%q): not a number", s)
 	}
 	return IntValue(n), nil
 }
@@ -670,7 +672,7 @@ func biInt(_ *Machine, args []Value, line int) (Value, error) {
 	case KindInt:
 		return args[0], nil
 	case KindFloat:
-		return IntValue(int64(args[0].F)), nil
+		return IntValue(int64(args[0].Float())), nil
 	case KindBool:
 		return IntValue(args[0].I), nil
 	default:
@@ -694,7 +696,7 @@ func biAbs(_ *Machine, args []Value, line int) (Value, error) {
 		}
 		return args[0], nil
 	case KindFloat:
-		return FloatValue(math.Abs(args[0].F)), nil
+		return FloatValue(math.Abs(args[0].Float())), nil
 	default:
 		return Value{}, errAt(line, 0, "abs(%s)", args[0].Kind)
 	}
@@ -788,7 +790,7 @@ func biSize(m *Machine, _ []Value, _ int) (Value, error) {
 // token, so an array is encoded straight from its elements.
 func encodeForSend(v Value) ([]byte, error) {
 	if v.Kind == KindArray {
-		return encodeArray(v.Arr.Elems)
+		return encodeArray(v.Arr().Elems)
 	}
 	return encodeValue(v)
 }
@@ -874,7 +876,7 @@ func reduceWith(m *Machine, op string, args []Value, line int) (Value, error) {
 		// Whole-array reduction travels as one vector collective instead of
 		// one message per element. The copy keeps the element kinds that
 		// the result follows, whatever other threads store meanwhile.
-		elems := append([]Value(nil), args[0].Arr.Elems...)
+		elems := append([]Value(nil), args[0].Arr().Elems...)
 		vec := make([]float64, len(elems))
 		for i, e := range elems {
 			f, ok := e.numeric()
@@ -901,7 +903,7 @@ func reduceWith(m *Machine, op string, args []Value, line int) (Value, error) {
 				res[i] = FloatValue(out[i])
 			}
 		}
-		return Value{Kind: KindArray, Arr: &Array{Elems: res}}, nil
+		return arrayValue(res), nil
 	}
 	f, ok := args[0].numeric()
 	if !ok {
@@ -925,8 +927,9 @@ func reduceWith(m *Machine, op string, args []Value, line int) (Value, error) {
 // for the vector collectives.
 func floatVec(v Value, line int) ([]float64, error) {
 	if v.Kind == KindArray {
-		vec := make([]float64, len(v.Arr.Elems))
-		for i, e := range v.Arr.Elems {
+		elems := v.Arr().Elems
+		vec := make([]float64, len(elems))
+		for i, e := range elems {
 			f, ok := e.numeric()
 			if !ok {
 				return nil, errAt(line, 0, "collective needs numeric array elements, got %s", e.Kind)
@@ -947,7 +950,7 @@ func floatArray(vec []float64) Value {
 	for i, f := range vec {
 		elems[i] = FloatValue(f)
 	}
-	return Value{Kind: KindArray, Arr: &Array{Elems: elems}}
+	return arrayValue(elems)
 }
 
 func biGather(m *Machine, args []Value, line int) (Value, error) {

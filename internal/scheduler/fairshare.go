@@ -39,9 +39,9 @@ type Tenant interface {
 	ChargeSteps(user string, n int64)
 }
 
-// errStepBudget is the cancellation cause / rank error marking a run halted
-// because the owner's tenancy step budget ran dry (distinct from the per-job
-// budget, which surfaces the VM's own error).
+// errStepBudget is the rank error, and so the run's cause, marking a run
+// halted because the owner's tenancy step budget ran dry (distinct from the
+// per-job budget, which surfaces the VM's own error).
 var errStepBudget = errors.New("scheduler: user step budget exhausted")
 
 // budgetExhaustedMsg is the failure reason recorded on the job; the portal

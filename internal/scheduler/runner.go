@@ -24,12 +24,9 @@ const drainGrace = 2 * time.Second
 
 // commHooks adapts an mpi.Comm to the minic VM's MPIHooks interface, so a
 // program's rank()/send()/recv()/barrier() builtins talk to the simulated
-// grid. Each rank's VM owns one instance; recvBuf is reused across receives
-// so steady-state point-to-point traffic stays allocation-free in the mpi
-// layer (the decoded minic Value is the only per-message allocation left).
+// grid. Each rank's VM owns one instance, shared by the rank's threads.
 type commHooks struct {
-	c       *mpi.Comm
-	recvBuf []byte
+	c *mpi.Comm
 }
 
 func (h *commHooks) Rank() int { return h.c.Rank() }
@@ -37,14 +34,9 @@ func (h *commHooks) Size() int { return h.c.Size() }
 
 func (h *commHooks) Send(dst int, data []byte) error { return h.c.Send(dst, 0, data) }
 
-func (h *commHooks) Recv(src int) ([]byte, error) {
-	out, err := h.c.RecvInto(src, 0, h.recvBuf)
-	if err != nil {
-		return nil, err
-	}
-	h.recvBuf = out
-	return out, nil
-}
+// Recv gives each receive its own bytes: two threads of a rank can wait in
+// recv at once, since a thread gives up the run token while it waits.
+func (h *commHooks) Recv(src int) ([]byte, error) { return h.c.Recv(src, 0) }
 
 func (h *commHooks) Barrier() error { return h.c.Barrier() }
 
@@ -135,14 +127,16 @@ func (w *rankWriter) Write(p []byte) (int, error) {
 // runArtifact executes a compiled unit as an MPI job over the given nodes
 // under ctx: each rank's VM checks the context in its interpreter loop and
 // the MPI world aborts blocked sends/receives when it dies. It blocks until
-// every rank finishes and returns the first rank error, or, when the run
-// was halted (cancelled, out of wall time or out of the owner's step
-// budget), an error wrapping the halt's cause.
+// every rank finishes, or until the ranks of a halted run have had
+// drainGrace to unwind, and returns the run context's cause: the first rank
+// error, or why the run was halted (cancelled, out of wall time or out of
+// the owner's step budget). A run that ends without one returns nil.
 func (s *Scheduler) runArtifact(ctx context.Context, job *jobs.Job, unit *minic.Unit, nodes []topology.NodeID) error {
 	ranks := job.Spec.Ranks
-	// The run's one context: its cause tells a halt by the wall-time timer
-	// or by the first rank to exhaust the owner's tenancy step budget from
-	// a user cancel.
+	// The run's one context. Its first cause ends the run: a user cancel,
+	// the wall-time timer, or the first rank to fail, as MPI's default
+	// MPI_ERRORS_ARE_FATAL ends a job, so peers blocked in MPI abort
+	// instead of holding the nodes until the wall time.
 	runCtx, cancelRun := context.WithCancelCause(ctx)
 	defer cancelRun(nil)
 	wall := time.AfterFunc(s.wallTime, func() { cancelRun(errWallTime) })
@@ -197,7 +191,6 @@ func (s *Scheduler) runArtifact(ctx context.Context, job *jobs.Job, unit *minic.
 		}()
 	}
 
-	errs := make([]error, ranks)
 	var wg sync.WaitGroup
 	for r := 0; r < ranks; r++ {
 		comm, err := world.Comm(r)
@@ -220,13 +213,12 @@ func (s *Scheduler) runArtifact(ctx context.Context, job *jobs.Job, unit *minic.
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			if _, err := m.Run(); err != nil {
-				if userCapped && errors.Is(err, minic.ErrStepBudget) {
-					errs[r] = fmt.Errorf("rank %d: %w", r, errStepBudget)
-					cancelRun(errStepBudget)
-					return
-				}
-				errs[r] = fmt.Errorf("rank %d: %w", r, err)
+			_, err := m.Run()
+			if userCapped && errors.Is(err, minic.ErrStepBudget) {
+				err = errStepBudget
+			}
+			if err != nil {
+				cancelRun(fmt.Errorf("rank %d: %w", r, err))
 			}
 		}(r)
 	}
@@ -254,18 +246,8 @@ func (s *Scheduler) runArtifact(ctx context.Context, job *jobs.Job, unit *minic.
 		case <-time.After(drainGrace):
 			s.log.Warnf("job %s: ranks still draining after cancellation", job.ID)
 		}
-		return fmt.Errorf("scheduler: job %s: %w", job.ID, context.Cause(runCtx))
 	}
-	halt := context.Cause(runCtx)
-	for _, e := range errs {
-		if e != nil {
-			if halt != nil {
-				// The run was halted; surface why rather than whichever
-				// rank's cancellation error happens to sit first in errs.
-				return fmt.Errorf("scheduler: job %s: %w", job.ID, halt)
-			}
-			return e
-		}
-	}
-	return nil
+	// The peers' own errors (an aborted recv, a cancelled loop) came after
+	// the cause and are not reported.
+	return context.Cause(runCtx)
 }
