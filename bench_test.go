@@ -10,7 +10,7 @@ package ccportal
 //	BenchmarkTable2ExamPassingRates  — Table 2
 //	BenchmarkTable3SurveyMeans       — Table 3
 //
-// The per-lab benches reproduce the phenomenon each closed lab demonstrates,
+// The lab benches reproduce the phenomenon each closed lab demonstrates,
 // and the ablation benches measure the design choices DESIGN.md calls out
 // (scheduler policy, lock flavour, collective algorithm, coherence
 // protocol).
@@ -104,23 +104,34 @@ func BenchmarkTable3SurveyMeans(b *testing.B) {
 
 // --- E-Lab experiments -----------------------------------------------------------
 
-func BenchmarkLab1SynchronizedCounter(b *testing.B) {
-	var lost int64
-	for i := 0; i < b.N; i++ {
-		fixed := labs.RunLab1(2000, true)
-		if !fixed.Correct {
-			b.Fatal("synchronized counter lost updates")
+// BenchmarkLabs runs each one-rank lab's minic program, the one students
+// submit, in both variants at seed 1: the fixed program must pass the lab's
+// check and the buggy one must fail it.
+func BenchmarkLabs(b *testing.B) {
+	for _, id := range labs.All() {
+		if labs.Ranks(id) != 1 {
+			continue
 		}
-		buggy := labs.RunLab1(2000, false)
-		lost = buggy.Expected - buggy.Observed
+		b.Run(fmt.Sprintf("lab=%d", int(id)+1), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, fixed := range []bool{false, true} {
+					res, err := labs.Run(id, fixed, 1)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if res.Correct != fixed {
+						b.Fatalf("fixed=%v: check passed=%v: %s", fixed, res.Correct, res.Detail)
+					}
+				}
+			}
+		})
 	}
-	b.ReportMetric(float64(lost), "lost_updates")
 }
 
 func BenchmarkLab2SpinLockCoherence(b *testing.B) {
 	var inval int64
 	for i := 0; i < b.N; i++ {
-		res, err := labs.RunLab2(4, 200, true)
+		res, err := labs.RunLab2(4, 200, true, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -145,58 +156,6 @@ func BenchmarkLab3UMANUMA(b *testing.B) {
 		ratio = res.Ratio
 	}
 	b.ReportMetric(ratio, "numa_factor")
-}
-
-func BenchmarkLab4ProducerConsumer(b *testing.B) {
-	input := make([]int64, 256)
-	for i := range input {
-		input[i] = int64(i + 1)
-	}
-	input[255] = -1
-	for i := 0; i < b.N; i++ {
-		if res := labs.RunLab4(input, true); !res.Correct {
-			b.Fatal("synced copy corrupted data")
-		}
-	}
-}
-
-func BenchmarkLab5BankAccount(b *testing.B) {
-	var drift int64
-	for i := 0; i < b.N; i++ {
-		fixed := labs.RunLab5(10000, 8000, true)
-		if !fixed.Correct {
-			b.Fatal("mutex-protected balance wrong")
-		}
-		buggy := labs.RunLab5(10000, 8000, false)
-		drift = buggy.Observed - buggy.Expected
-	}
-	b.ReportMetric(float64(drift), "balance_drift")
-}
-
-func BenchmarkLab6DiningPhilosophers(b *testing.B) {
-	deadlocks := 0
-	for i := 0; i < b.N; i++ {
-		if res := labs.RunLab6(2, false); res.Deadlocked {
-			deadlocks++
-		}
-		if res := labs.RunLab6(2, true); res.Deadlocked {
-			b.Fatal("ordered acquisition deadlocked")
-		}
-	}
-	b.ReportMetric(float64(deadlocks)/float64(b.N)*100, "unordered_deadlock_pct")
-}
-
-func BenchmarkPA3BoundedBuffer(b *testing.B) {
-	broken := 0
-	for i := 0; i < b.N; i++ {
-		if res := labs.RunPA3(500, 4, labs.PA3Semaphore); !res.Correct {
-			b.Fatal("semaphore bounded buffer wrong")
-		}
-		if res := labs.RunPA3(500, 2, labs.PA3Broken); !res.Correct {
-			broken++
-		}
-	}
-	b.ReportMetric(float64(broken)/float64(b.N)*100, "broken_failure_pct")
 }
 
 // --- system characterization -----------------------------------------------------

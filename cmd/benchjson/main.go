@@ -1,24 +1,32 @@
 // Command benchjson converts `go test -bench` output on stdin into a JSON
-// object on stdout (or -o file), keyed by benchmark name:
+// object on stdout (or -o file), keyed by benchmark name, plus a "host"
+// object naming the machine it was measured on:
 //
-//	{"BenchmarkVMTightLoop": {"n": 5, "iterations": 2961, "ns_per_op": 434311, "ns_per_op_min": 420118, "ns_per_op_max": 471002, "bytes_per_op": 9840, "allocs_per_op": 6}}
+//	{"BenchmarkVMTightLoop": {"n": 5, "iterations": 2961, "ns_per_op": 434311, "ns_per_op_min": 420118, "ns_per_op_max": 471002, "bytes_per_op": 9840, "allocs_per_op": 6},
+//	 "host": {"goos": "linux", "goarch": "amd64", "cpu": "Intel(R) Xeon(R) Processor", "go": "go1.24.0", "nproc": 2}}
 //
 // The -P suffix goroutine count (BenchmarkX-8) is stripped so keys are stable
 // across machines. A benchmark that appears on n lines (go test -count n)
 // is recorded as the median of each column, with n and the min and max of
 // ns_per_op; a single line gives n 1. bytes_per_op and allocs_per_op
 // appear only when the lines carry them (-benchmem or b.ReportAllocs): a
-// field that was not measured is omitted, never written as 0. `make
-// bench-vm` uses it to write BENCH_vm.json.
+// field that was not measured is omitted, never written as 0. goos, goarch
+// and cpu come from go test's header lines; go and nproc are the Go version
+// and CPU count benchjson itself runs with. Every benchmark key starts with
+// "Benchmark", so "host" cannot collide with one. The bench-* make targets
+// use it to write the BENCH_*.json files.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -39,22 +47,43 @@ type Entry struct {
 	Extra       map[string]float64 `json:"extra,omitempty"`
 }
 
+// Host is the machine a file was measured on.
+type Host struct {
+	GOOS   string `json:"goos,omitempty"`
+	GOARCH string `json:"goarch,omitempty"`
+	CPU    string `json:"cpu,omitempty"`
+	Go     string `json:"go"`
+	NProc  int    `json:"nproc"`
+}
+
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(.*)$`)
 
-func parse(lines *bufio.Scanner) (map[string]Entry, error) {
+func parse(lines *bufio.Scanner) (map[string]Entry, Host, error) {
 	samples := make(map[string][]Entry)
+	host := Host{Go: runtime.Version(), NProc: runtime.NumCPU()}
 	for lines.Scan() {
-		m := benchLine.FindStringSubmatch(strings.TrimSpace(lines.Text()))
+		line := strings.TrimSpace(lines.Text())
+		if key, val, ok := strings.Cut(line, ": "); ok {
+			switch key {
+			case "goos":
+				host.GOOS = val
+			case "goarch":
+				host.GOARCH = val
+			case "cpu":
+				host.CPU = val
+			}
+		}
+		m := benchLine.FindStringSubmatch(line)
 		if m == nil {
 			continue
 		}
 		iters, err := strconv.ParseInt(m[2], 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("benchjson: bad iteration count in %q: %v", lines.Text(), err)
+			return nil, host, fmt.Errorf("benchjson: bad iteration count in %q: %v", lines.Text(), err)
 		}
 		ns, err := strconv.ParseFloat(m[3], 64)
 		if err != nil {
-			return nil, fmt.Errorf("benchjson: bad ns/op in %q: %v", lines.Text(), err)
+			return nil, host, fmt.Errorf("benchjson: bad ns/op in %q: %v", lines.Text(), err)
 		}
 		e := Entry{Iterations: iters, NsPerOp: ns}
 		for _, f := range strings.Split(m[4], "\t") {
@@ -87,7 +116,29 @@ func parse(lines *bufio.Scanner) (map[string]Entry, error) {
 	for name, s := range samples {
 		out[name] = merge(s)
 	}
-	return out, lines.Err()
+	return out, host, lines.Err()
+}
+
+// record reads go test output and returns the JSON file benchjson writes.
+func record(in io.Reader) ([]byte, error) {
+	entries, host, err := parse(bufio.NewScanner(in))
+	if err != nil {
+		return nil, err
+	}
+	if len(entries) == 0 {
+		return nil, errors.New("benchjson: no benchmark lines on stdin")
+	}
+	file := make(map[string]any, len(entries)+1)
+	for name, e := range entries {
+		file[name] = e
+	}
+	file["host"] = host
+	// encoding/json emits map keys sorted, so the file is diffable run to run.
+	data, err := json.MarshalIndent(file, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(data, '\n'), nil
 }
 
 // merge folds one benchmark's lines into the median of each column.
@@ -158,27 +209,15 @@ func parseCount(s string) *int64 {
 func main() {
 	outPath := flag.String("o", "", "write JSON to this file instead of stdout")
 	flag.Parse()
-	entries, err := parse(bufio.NewScanner(os.Stdin))
+	data, err := record(os.Stdin)
+	if err == nil {
+		if *outPath == "" {
+			_, err = os.Stdout.Write(data)
+		} else {
+			err = os.WriteFile(*outPath, data, 0o644)
+		}
+	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if len(entries) == 0 {
-		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")
-		os.Exit(1)
-	}
-	// encoding/json emits map keys sorted, so the file is diffable run to run.
-	data, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	data = append(data, '\n')
-	if *outPath == "" {
-		os.Stdout.Write(data)
-		return
-	}
-	if err := os.WriteFile(*outPath, data, 0o644); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}

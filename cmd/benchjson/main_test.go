@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -11,7 +12,7 @@ import (
 // writes it.
 func encode(t *testing.T, line string) map[string]any {
 	t.Helper()
-	entries, err := parse(bufio.NewScanner(strings.NewReader(line + "\n")))
+	entries, _, err := parse(bufio.NewScanner(strings.NewReader(line + "\n")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestRepeatedBenchmarkKeepsEverySample(t *testing.T) {
 	in := "BenchmarkVMLab1-2   \t     300\t   3900000 ns/op\t         7.40 ns/step\t    5000 B/op\t      40 allocs/op\n" +
 		"BenchmarkVMLab1-2   \t     400\t   3100000 ns/op\t         5.90 ns/step\t    4800 B/op\t      40 allocs/op\n" +
 		"BenchmarkVMLab1-2   \t     350\t   3500000 ns/op\t         6.60 ns/step\t    5200 B/op\t      41 allocs/op\n"
-	entries, err := parse(bufio.NewScanner(strings.NewReader(in)))
+	entries, _, err := parse(bufio.NewScanner(strings.NewReader(in)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,5 +93,35 @@ func TestRepeatedBenchmarkKeepsEverySample(t *testing.T) {
 	one := encode(t, "BenchmarkVMLab1-2   \t     300\t   3900000 ns/op")
 	if one["n"] != 1.0 || one["ns_per_op_min"] != 3900000.0 || one["ns_per_op_max"] != 3900000.0 {
 		t.Errorf("single line = %v, want n 1 and its ns/op as min and max", one)
+	}
+}
+
+// TestFileRecordsHost: the file names the machine it was measured on, from
+// go test's header lines and benchjson's own runtime, next to the entries.
+func TestFileRecordsHost(t *testing.T) {
+	in := "goos: linux\n" +
+		"goarch: amd64\n" +
+		"pkg: repro/internal/minic\n" +
+		"cpu: Intel(R) Xeon(R) Processor\n" +
+		"BenchmarkVMLab1-2   \t     300\t   3900000 ns/op\n" +
+		"PASS\n"
+	data, err := record(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file map[string]json.RawMessage
+	if err := json.Unmarshal(data, &file); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := file["BenchmarkVMLab1"]; !ok || len(file) != 2 {
+		t.Fatalf("keys of %s, want the benchmark and host", data)
+	}
+	var host Host
+	if err := json.Unmarshal(file["host"], &host); err != nil {
+		t.Fatal(err)
+	}
+	want := Host{GOOS: "linux", GOARCH: "amd64", CPU: "Intel(R) Xeon(R) Processor", Go: runtime.Version(), NProc: runtime.NumCPU()}
+	if host != want {
+		t.Errorf("host = %+v, want %+v", host, want)
 	}
 }

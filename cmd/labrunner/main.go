@@ -1,10 +1,13 @@
 // Command labrunner runs any of the seven course labs standalone, printing
 // the phenomenon each one demonstrates — the closed-lab experience from the
-// paper without the web portal in between.
+// paper without the web portal in between. Each lab runs exactly as its row
+// in the phenomenon table: a one-rank lab runs the minic program students
+// submit and prints its output, and Labs 2 and 3 run on the memory
+// simulator.
 //
 // Usage:
 //
-//	labrunner -lab 1..7 [-fixed] [-n 10000]
+//	labrunner -lab 1..7 [-fixed]
 //	labrunner -all
 package main
 
@@ -21,17 +24,16 @@ func main() {
 	var (
 		labNum = flag.Int("lab", 0, "lab number 1-7 (7 = Programming Assignment 3)")
 		fixed  = flag.Bool("fixed", false, "run the corrected version instead of the buggy one")
-		n      = flag.Int("n", 10000, "work size (iterations / items, lab dependent)")
 		all    = flag.Bool("all", false, "run every lab in both variants and print the table")
 	)
 	flag.Parse()
-	if err := run(*labNum, *n, *fixed, *all); err != nil {
+	if err := run(*labNum, *fixed, *all); err != nil {
 		fmt.Fprintln(os.Stderr, "labrunner:", err)
 		os.Exit(1)
 	}
 }
 
-func run(labNum, n int, fixed, all bool) error {
+func run(labNum int, fixed, all bool) error {
 	if all {
 		rows, err := eval.Phenomena()
 		if err != nil {
@@ -45,55 +47,15 @@ func run(labNum, n int, fixed, all bool) error {
 	}
 	id := labs.All()[labNum-1]
 	fmt.Printf("== %s (fixed=%v) ==\n", id.Title(), fixed)
-	switch id {
-	case labs.Lab1Synchronization:
-		report(labs.RunLab1(n, fixed))
-	case labs.Lab2SpinLock:
-		res, err := labs.RunLab2(4, n/10+1, fixed)
-		if err != nil {
-			return err
-		}
-		report(res.Result)
-		st := res.Stats
-		fmt.Printf("coherence: %d invalidations, %d cache hits, %d misses, %d cycles\n",
-			st.Invalidations, st.CacheHits, st.CacheMisses, st.Cycles)
-	case labs.Lab3UMANUMA:
-		res, err := labs.RunLab3(n)
-		if err != nil {
-			return err
-		}
-		report(res.Result)
-		fmt.Printf("local %.1f cycles/read, remote %.1f cycles/read (ratio %.2fx)\n",
-			res.LocalReadCycles, res.RemoteReadCycles, res.Ratio)
-	case labs.Lab4ProcessThread:
-		input := make([]int64, n%1000+10)
-		for i := range input {
-			input[i] = int64(i + 1)
-		}
-		input[len(input)-1] = -1
-		report(labs.RunLab4(input, fixed))
-	case labs.Lab5BankAccount:
-		report(labs.RunLab5(n, n*5/6, fixed))
-	case labs.Lab6Deadlock:
-		res := labs.RunLab6(3, fixed)
-		report(res.Result)
-		for _, e := range res.Events {
-			fmt.Printf("  philosopher %d %s fork %d\n", e.Philosopher, e.Action, e.Fork)
-		}
-	case labs.PA3BoundedBuffer:
-		mode := labs.PA3Broken
-		if fixed {
-			mode = labs.PA3Semaphore
-		}
-		report(labs.RunPA3(n, 4, mode))
+	res, err := eval.Phenomenon(id, fixed)
+	if err != nil {
+		return err
 	}
-	return nil
-}
-
-func report(r labs.Result) {
+	fmt.Print(res.Output)
 	status := "INCORRECT"
-	if r.Correct {
+	if res.Correct {
 		status = "correct"
 	}
-	fmt.Printf("%s: %s\n", status, r.Detail)
+	fmt.Printf("%s: %s\n", status, res.Detail)
+	return nil
 }

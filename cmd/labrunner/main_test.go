@@ -3,26 +3,25 @@ package main
 import "testing"
 
 func TestRunValidatesLabNumber(t *testing.T) {
-	if err := run(0, 100, false, false); err == nil {
+	if err := run(0, false, false); err == nil {
 		t.Error("lab 0 accepted")
 	}
-	if err := run(8, 100, false, false); err == nil {
+	if err := run(8, false, false); err == nil {
 		t.Error("lab 8 accepted")
 	}
 }
 
 func TestRunEachLabFixedSmoke(t *testing.T) {
-	// Small work sizes keep this a smoke test; correctness of the labs is
-	// covered in internal/labs.
+	// Correctness of the labs is covered in internal/labs and internal/eval.
 	for lab := 1; lab <= 7; lab++ {
-		if err := run(lab, 500, true, false); err != nil {
+		if err := run(lab, true, false); err != nil {
 			t.Errorf("lab %d fixed: %v", lab, err)
 		}
 	}
 }
 
 func TestRunBuggyLabSmoke(t *testing.T) {
-	if err := run(1, 500, false, false); err != nil {
+	if err := run(1, false, false); err != nil {
 		t.Fatal(err)
 	}
 }

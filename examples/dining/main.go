@@ -1,28 +1,30 @@
-// The dining example is Lab 6 run both ways: five philosophers acquiring
-// semaphore forks in the same order deadlock in a cyclic hold-and-wait;
-// reversing philosopher 4's acquisition order makes deadlock impossible.
-// The event log — each request, acquire, release and block — is printed the
-// way the lab asks students to print it.
+// The dining example is Lab 6 run both ways, from the minic program students
+// submit: five philosophers acquiring semaphore forks in the same order
+// deadlock in a cyclic hold-and-wait, and each one prints the fork it
+// blocked on; reversing philosopher 4's acquisition order makes deadlock
+// impossible, and all 15 meals are eaten.
 package main
 
 import (
 	"fmt"
+	"log"
 
 	"repro/internal/labs"
 )
 
 func main() {
 	fmt.Println("== same-order acquisition (deadlocks) ==")
-	show(labs.RunLab6(3, false))
+	show(false)
 
 	fmt.Println()
 	fmt.Println("== philosopher 4 reversed (deadlock-free) ==")
-	show(labs.RunLab6(3, true))
+	show(true)
 }
 
-func show(res labs.Lab6Result) {
-	for _, e := range res.Events {
-		fmt.Printf("  philosopher %d %-8s fork %d\n", e.Philosopher, e.Action, e.Fork)
+func show(ordered bool) {
+	res, err := labs.Run(labs.Lab6Deadlock, ordered, 1)
+	if err != nil {
+		log.Fatal(err)
 	}
-	fmt.Printf("meals eaten: %d of %d, deadlocked: %v\n", res.Meals, res.Expected, res.Deadlocked)
+	fmt.Print(res.Output)
 }

@@ -74,6 +74,32 @@ func TestPhenomenaAllLabsDemonstrate(t *testing.T) {
 	}
 }
 
+// TestPhenomenonShowsTheGradedRun: a phenomenon row that runs a lab's
+// minic program prints the same bytes as the program's job in the grading
+// pipeline, because both run at the seed the scheduler gives rank 0.
+func TestPhenomenonShowsTheGradedRun(t *testing.T) {
+	b := NewBackend()
+	defer b.Close()
+	for _, lab := range labs.All() {
+		if labs.Ranks(lab) != 1 || lab == labs.Lab2SpinLock {
+			continue // Labs 2 and 3 run on the memory simulator
+		}
+		for _, fixed := range []bool{false, true} {
+			g, err := b.Grader.GradeSubmission("ada", lab, fixed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Phenomenon(lab, fixed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Output != g.Output {
+				t.Errorf("%s fixed=%v: phenomenon printed %q, the graded job %q", lab.Title(), fixed, res.Output, g.Output)
+			}
+		}
+	}
+}
+
 func TestTable1EndToEnd(t *testing.T) {
 	// The headline experiment: a small class graded through the full
 	// pipeline. Uses a smaller class than the paper's 19 to keep the test

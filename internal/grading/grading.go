@@ -70,14 +70,10 @@ type Grade struct {
 type Grader struct {
 	FS    *vfs.FS
 	Store *jobs.Store
+	// Sched cancels a grading run that outlives Timeout.
 	Sched *scheduler.Scheduler
 	// Timeout bounds one grading run; 0 means 30s.
 	Timeout time.Duration
-	// Runs is how many times each submission is executed; every run must
-	// produce the expected RESULT for the submission to be correct, which
-	// is how race-prone assignments are graded in practice (a lucky
-	// interleaving must not earn the points). 0 means 3.
-	Runs int
 }
 
 // styleComponent returns a deterministic pseudo-random value in [0, n) from
@@ -102,12 +98,14 @@ func score(student string, lab labs.ID, band Band) int {
 }
 
 // GradeSource grades the given source text as student's submission for lab.
-// The submission is executed Runs times; the reported band is the worst
-// observed, so a racy program cannot pass on one lucky interleaving.
+// The submission runs once. Its ranks' seeds are fixed, so a one-rank job's
+// threads replay the same interleaving on every run, and running it again
+// would only repeat the grade. A run that outlives Timeout is cancelled,
+// freeing its nodes, and graded broken.
 func (g *Grader) GradeSource(student string, lab labs.ID, source string) (Grade, error) {
-	runs := g.Runs
-	if runs <= 0 {
-		runs = 3
+	timeout := g.Timeout
+	if timeout <= 0 {
+		timeout = 30 * time.Second
 	}
 	home := g.FS.EnsureHome(student)
 	path := fmt.Sprintf("/submissions/lab%d.mc", int(lab))
@@ -117,55 +115,31 @@ func (g *Grader) GradeSource(student string, lab labs.ID, source string) (Grade,
 	if err := home.WriteFile(path, []byte(source)); err != nil {
 		return Grade{}, err
 	}
-	worst := BandCorrect
-	var jobID, output string
-	for run := 0; run < runs; run++ {
-		band, id, out, err := g.runOnce(student, path, lab)
-		if err != nil {
-			return Grade{}, err
-		}
-		jobID, output = id, out
-		if band > worst {
-			worst = band
-		}
-		if worst == BandBroken {
-			break // no point re-running a program that cannot run
-		}
-	}
-	return g.finish(student, lab, jobID, worst, output), nil
-}
-
-// runOnce executes the already-uploaded submission one time.
-func (g *Grader) runOnce(student, path string, lab labs.ID) (Band, string, string, error) {
-	timeout := g.Timeout
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
 	job, err := g.Store.Submit(jobs.Spec{
 		Owner:      student,
 		SourcePath: path,
 		Language:   "minic",
 		Ranks:      labs.Ranks(lab),
-		StepBudget: 500_000_000,
+		StepBudget: labs.StepBudget,
 	})
 	if err != nil {
-		return BandBroken, "", "", err
+		return Grade{}, err
 	}
-	snap, err := g.Store.WaitTerminal(job.ID, timeout)
-	if err != nil {
-		// Stuck job: treat as broken but keep grading the cohort.
-		return BandBroken, job.ID, job.Stdout.String(), nil
-	}
-	output := job.Stdout.String()
 	band := BandBroken
-	if snap.State == jobs.StateSucceeded {
+	snap, err := g.Store.WaitTerminal(job.ID, timeout)
+	output := job.Stdout.String()
+	if err != nil {
+		// Stuck job: stop it, grade it broken and keep grading the cohort.
+		// Cancel fails only if the job ended in the meantime; then it is
+		// left as it ended.
+		_ = g.Sched.Cancel(job.ID)
+	} else if snap.State == jobs.StateSucceeded {
+		band = BandWrong
 		if strings.Contains(output, labs.ExpectedOutput(lab)) {
 			band = BandCorrect
-		} else {
-			band = BandWrong
 		}
 	}
-	return band, job.ID, output, nil
+	return g.finish(student, lab, job.ID, band, output), nil
 }
 
 func (g *Grader) finish(student string, lab labs.ID, jobID string, band Band, output string) Grade {

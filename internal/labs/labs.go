@@ -1,10 +1,9 @@
-// Package labs implements the seven hands-on assignments from the paper's
-// course integration (Section III.B), each in two variants: the buggy
-// version students are given (or naturally write first) and the fixed
-// version they are asked to produce. Every lab returns a Result whose
-// Correct field reflects whether the observed behaviour matches the lab's
-// learning objective, so the grading pipeline and the benchmark harness can
-// demonstrate the phenomenon each lab teaches:
+// Package labs holds the seven hands-on assignments from the paper's course
+// integration (Section III.B), each as a minic program in two variants: the
+// buggy version students are given (or naturally write first) and the fixed
+// version they are asked to produce (sources.go). Those programs are what
+// the grader runs, and Run executes the one-rank ones directly, so the
+// phenomenon each lab teaches is shown by the code students submit:
 //
 //	Lab 1 — Multicore: synchronization (shared counter loses updates)
 //	Lab 2 — Multicore: TAS spin lock and cache coherence
@@ -14,21 +13,19 @@
 //	Lab 6 — Deadlock (dining philosophers, ordered acquisition fix)
 //	PA 3  — Bounded buffer with mutex locks and semaphores
 //
-// The race-prone variants are engineered so the race exists at the model
-// level (load → yield → store), never as a Go data race: the suite stays
-// clean under -race while still losing updates the way the students'
-// unsynchronized Java and C did.
+// Labs 2 and 3 are also run on the memory-hierarchy simulator (RunLab2,
+// RunLab3), which counts the cache invalidations and access cycles a minic
+// program cannot observe.
 package labs
 
 import (
+	"bytes"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
-	"time"
+	"math/rand"
+	"strings"
 
 	"repro/internal/memsim"
-	"repro/internal/primitives"
+	"repro/internal/minic"
 )
 
 // ID names a lab, in course order.
@@ -82,64 +79,47 @@ type Result struct {
 	Fixed bool
 	// Correct reports whether the run met the lab's success criterion.
 	Correct bool
-	// Observed and Expected summarize the checked quantity.
-	Observed int64
-	Expected int64
-	// Detail is a human-readable one-liner for reports.
+	// Detail is a human-readable one-liner for reports: a minic program's
+	// RESULT line, or the simulator's counts.
 	Detail string
+	// Output is everything a minic program printed; empty for the memsim
+	// runners.
+	Output string
 }
 
-// racyCell is a shared integer whose unsynchronized increment is a
-// model-level read-modify-write race: Go-race-free (atomics) but loses
-// updates exactly like `counter++` from two unsynchronized threads.
-type racyCell struct {
-	v atomic.Int64
-}
+// StepBudget bounds one run of a lab program: the grader's budget, which
+// every lab source finishes well within.
+const StepBudget = 500_000_000
 
-func (c *racyCell) racyIncrement() {
-	v := c.v.Load()
-	yield() // widen the race window, as small Java examples do naturally
-	c.v.Store(v + 1)
-}
-
-// yield cedes the processor between the load and store halves of a racy
-// update. runtime.Gosched is cheap enough to call hundreds of thousands of
-// times yet reliably interleaves the two workers.
-func yield() { runtime.Gosched() }
-
-// --- Lab 1: synchronization with a shared counter ----------------------------
-
-// RunLab1 increments a counter shared by two threads, n times each. In the
-// unsynchronized variant updates are lost; the synchronized variant (a Java
-// synchronized method, here a mutex) is exact.
-func RunLab1(n int, synchronized bool) Result {
-	expected := int64(2 * n)
-	var cell racyCell
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for t := 0; t < 2; t++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < n; i++ {
-				if synchronized {
-					mu.Lock()
-					cell.v.Store(cell.v.Load() + 1)
-					mu.Unlock()
-				} else {
-					cell.racyIncrement()
-				}
-			}
-		}()
+// Run compiles the lab's minic source in the given variant and runs it as
+// one rank with the given seed, which fixes its thread interleaving: the
+// same lab, variant and seed print the same bytes on every run. Correct is
+// whether the output contains ExpectedOutput(id). Lab 3 needs a 20-rank
+// cluster job, so Run returns an error for it.
+func Run(id ID, fixed bool, seed int64) (Result, error) {
+	src := MinicSource(id, fixed)
+	if src == "" {
+		return Result{}, fmt.Errorf("labs: unknown lab %d", int(id))
 	}
-	wg.Wait()
-	got := cell.v.Load()
-	return Result{
-		Lab: Lab1Synchronization, Fixed: synchronized,
-		Correct:  got == expected,
-		Observed: got, Expected: expected,
-		Detail: fmt.Sprintf("counter=%d want=%d", got, expected),
+	if n := Ranks(id); n != 1 {
+		return Result{}, fmt.Errorf("labs: %s needs a %d-rank cluster job", id.Title(), n)
 	}
+	u, err := minic.CompileSource(src)
+	if err != nil {
+		return Result{}, fmt.Errorf("labs: %s: %w", id.Title(), err)
+	}
+	var out bytes.Buffer
+	m := minic.NewMachine(u, minic.MachineConfig{Out: &out, StepBudget: StepBudget, Seed: seed})
+	_, err = m.Run()
+	res := Result{Lab: id, Fixed: fixed, Output: out.String()}
+	if err != nil {
+		return res, fmt.Errorf("labs: %s: %w", id.Title(), err)
+	}
+	res.Correct = strings.Contains(res.Output, ExpectedOutput(id))
+	if i := strings.LastIndex(res.Output, "RESULT "); i >= 0 {
+		res.Detail, _, _ = strings.Cut(res.Output[i:], "\n")
+	}
+	return res, nil
 }
 
 // --- Lab 2: TAS spin lock and cache coherence ---------------------------------
@@ -150,52 +130,89 @@ type Lab2Result struct {
 	Stats memsim.Stats
 }
 
-// RunLab2 runs `threads` workers on the memory simulator, each performing
-// `increments` lock-protected increments of a shared variable using a TAS
-// lock built from the simulator's test-and-set instruction. With useLock
-// false the increment is unprotected and updates are lost; with it true the
-// count is exact and the stats show the invalidation traffic TAS spinning
-// generates.
-func RunLab2(threads, increments int, useLock bool) (Lab2Result, error) {
+// The four memory accesses a Lab 2 core steps through, in order: take the
+// lock with test-and-set (repeated while it is held), read the counter,
+// write the incremented value, release the lock. Without the lock a core
+// only reads and writes.
+const (
+	lab2TAS = iota
+	lab2Read
+	lab2Write
+	lab2Release
+)
+
+// RunLab2 runs `threads` simulated cores on the memory simulator, each
+// performing `increments` increments of a shared counter. With useLock the
+// increments are protected by a TAS spin lock built from the simulator's
+// test-and-set instruction: the count is exact, and the stats show the
+// invalidation traffic TAS spinning generates. Without it updates are lost.
+//
+// One goroutine steps the cores: each step performs one memory access of
+// one unfinished core, drawn by a generator seeded with seed, so the counter
+// and the stats are a function of the arguments.
+func RunLab2(threads, increments int, useLock bool, seed int64) (Lab2Result, error) {
 	sys, err := memsim.New(memsim.Config{Cores: threads, Domains: 1})
 	if err != nil {
 		return Lab2Result{}, err
 	}
 	const lockAddr, counterAddr = 0x100, 0x200
-	var wg sync.WaitGroup
-	for c := 0; c < threads; c++ {
-		wg.Add(1)
-		go func(core int) {
-			defer wg.Done()
-			for i := 0; i < increments; i++ {
-				if useLock {
-					for {
-						if old, _ := sys.TestAndSet(core, lockAddr); old == 0 {
-							break
-						}
-					}
-					v, _ := sys.Read(core, counterAddr)
-					sys.Write(core, counterAddr, v+1)
-					sys.Write(core, lockAddr, 0)
-				} else {
-					v, _ := sys.Read(core, counterAddr)
-					yield()
-					sys.Write(core, counterAddr, v+1)
-				}
-			}
-		}(c)
+	first := lab2Read
+	if useLock {
+		first = lab2TAS
 	}
-	wg.Wait()
+	type core struct {
+		next, done int
+		read       uint64 // the counter value this core last read
+	}
+	cores := make([]core, threads)
+	var running []int // the cores with increments left
+	for c := range cores {
+		cores[c].next = first
+		if increments > 0 {
+			running = append(running, c)
+		}
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for len(running) > 0 {
+		k := rng.Intn(len(running))
+		id := running[k]
+		c := &cores[id]
+		switch c.next {
+		case lab2TAS:
+			if old, _ := sys.TestAndSet(id, lockAddr); old == 0 {
+				c.next = lab2Read
+			}
+		case lab2Read:
+			c.read, _ = sys.Read(id, counterAddr)
+			c.next = lab2Write
+		case lab2Write:
+			sys.Write(id, counterAddr, c.read+1)
+			if useLock {
+				c.next = lab2Release
+			} else {
+				c.next = lab2Read
+				c.done++
+			}
+		case lab2Release:
+			sys.Write(id, lockAddr, 0)
+			c.next = lab2TAS
+			c.done++
+		}
+		if c.done == increments {
+			running[k] = running[len(running)-1]
+			running = running[:len(running)-1]
+		}
+	}
 	got := int64(sys.MemoryValue(counterAddr))
 	expected := int64(threads * increments)
+	st := sys.Stats()
 	return Lab2Result{
 		Result: Result{
 			Lab: Lab2SpinLock, Fixed: useLock,
-			Correct:  got == expected,
-			Observed: got, Expected: expected,
-			Detail: fmt.Sprintf("counter=%d want=%d invalidations=%d", got, expected, sys.Stats().Invalidations),
+			Correct: got == expected,
+			Detail:  fmt.Sprintf("counter=%d want=%d invalidations=%d", got, expected, st.Invalidations),
 		},
-		Stats: sys.Stats(),
+		Stats: st,
 	}, nil
 }
 
@@ -243,9 +260,8 @@ func RunLab3(accesses int) (Lab3Result, error) {
 	res := Lab3Result{
 		Result: Result{
 			Lab: Lab3UMANUMA, Fixed: true,
-			Correct:  remote > local,
-			Observed: int64(remote), Expected: int64(local),
-			Detail: fmt.Sprintf("local=%.1f remote=%.1f cycles/read", local, remote),
+			Correct: remote > local,
+			Detail:  fmt.Sprintf("local=%.1f remote=%.1f cycles/read", local, remote),
 		},
 		LocalReadCycles:  local,
 		RemoteReadCycles: remote,
@@ -254,390 +270,4 @@ func RunLab3(accesses int) (Lab3Result, error) {
 		res.Ratio = remote / local
 	}
 	return res, nil
-}
-
-// --- Lab 4: producer-consumer file copy with -1 sentinel -----------------------
-
-// RunLab4 runs the reader/writer pair: the reader stores `input` (ending in
-// -1) into a shared array while the writer copies it out. With sync true
-// the handoff uses a semaphore per slot, so the writer never reads a slot
-// before the reader fills it; with sync false the writer may read stale
-// zeros or miss the sentinel.
-func RunLab4(input []int64, synced bool) Result {
-	if len(input) == 0 || input[len(input)-1] != -1 {
-		input = append(append([]int64(nil), input...), -1)
-	}
-	n := len(input)
-	shared := make([]atomic.Int64, n)
-	filled := make([]*primitives.Semaphore, n)
-	for i := range filled {
-		filled[i] = primitives.NewSemaphore(0)
-	}
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { // reader: file → array
-		defer wg.Done()
-		for i, v := range input {
-			yield()
-			shared[i].Store(v)
-			if synced {
-				filled[i].Signal()
-			}
-		}
-	}()
-	output := make([]int64, 0, n)
-	go func() { // writer: array → new file
-		defer wg.Done()
-		for i := 0; i < n; i++ {
-			if synced {
-				filled[i].Wait()
-			}
-			v := shared[i].Load()
-			output = append(output, v)
-			if v == -1 {
-				return
-			}
-		}
-	}()
-	wg.Wait()
-	correct := len(output) == n
-	if correct {
-		for i := range output {
-			if output[i] != input[i] {
-				correct = false
-				break
-			}
-		}
-	}
-	var last int64
-	if len(output) > 0 {
-		last = output[len(output)-1]
-	}
-	return Result{
-		Lab: Lab4ProcessThread, Fixed: synced,
-		Correct:  correct,
-		Observed: int64(len(output)), Expected: int64(n),
-		Detail: fmt.Sprintf("copied %d/%d values, last=%d", len(output), n, last),
-	}
-}
-
-// --- Lab 5: bank account ---------------------------------------------------------
-
-// RunLab5 reproduces the lab's scenario exactly: balance starts at 1,000,000;
-// one thread withdraws 600,000 one dollar at a time, the other deposits
-// 500,000 one dollar at a time. Without mutual exclusion the ending balance
-// is wrong; with pthread-mutex-style locking it is exactly 900,000.
-func RunLab5(withdraw, deposit int, useMutex bool) Result {
-	const start = 1_000_000
-	var balance racyCell
-	balance.v.Store(start)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < withdraw; i++ {
-			if useMutex {
-				mu.Lock()
-				balance.v.Store(balance.v.Load() - 1)
-				mu.Unlock()
-			} else {
-				v := balance.v.Load()
-				yield()
-				balance.v.Store(v - 1)
-			}
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < deposit; i++ {
-			if useMutex {
-				mu.Lock()
-				balance.v.Store(balance.v.Load() + 1)
-				mu.Unlock()
-			} else {
-				v := balance.v.Load()
-				yield()
-				balance.v.Store(v + 1)
-			}
-		}
-	}()
-	wg.Wait()
-	got := balance.v.Load()
-	expected := int64(start - withdraw + deposit)
-	return Result{
-		Lab: Lab5BankAccount, Fixed: useMutex,
-		Correct:  got == expected,
-		Observed: got, Expected: expected,
-		Detail: fmt.Sprintf("balance=%d want=%d", got, expected),
-	}
-}
-
-// --- Lab 6: dining philosophers ---------------------------------------------------
-
-// Lab6Event is one line of the event log the lab asks students to print:
-// "philosopher P requests/acquires/releases fork F".
-type Lab6Event struct {
-	Philosopher int
-	Action      string // "request", "acquire", "release", "blocked"
-	Fork        int
-}
-
-// Lab6Result includes the event log and whether deadlock occurred.
-type Lab6Result struct {
-	Result
-	Deadlocked bool
-	Events     []Lab6Event
-	Meals      int64
-}
-
-// RunLab6 runs 5 philosophers for the given number of meals each, with five
-// semaphore forks. With ordered false every philosopher grabs the left fork
-// then the right fork — the cyclic hold-and-wait the lab demonstrates; the
-// run is orchestrated so all five hold their left fork simultaneously at
-// least once, making the deadlock certain rather than probabilistic. With
-// ordered true, philosopher 4 requests the forks in the other order, which
-// breaks the cycle; the run always completes.
-func RunLab6(meals int, ordered bool) Lab6Result {
-	const n = 5
-	forks := make([]*primitives.Semaphore, n)
-	for i := range forks {
-		forks[i] = primitives.NewSemaphore(1)
-	}
-	var mu sync.Mutex
-	var events []Lab6Event
-	logEvent := func(p int, action string, f int) {
-		mu.Lock()
-		events = append(events, Lab6Event{Philosopher: p, Action: action, Fork: f})
-		mu.Unlock()
-	}
-	// The barrier forces the all-left-forks-held state in the unordered
-	// variant (round 0 only), making the deadlock deterministic. It must
-	// not be used when philosopher 4 reverses its order: there, two
-	// philosophers contend for fork 0 as their first fork, so one of them
-	// could never reach a barrier.
-	var gate *primitives.Barrier
-	if !ordered {
-		gate = primitives.NewBarrier(n)
-	}
-	var mealsEaten atomic.Int64
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	for p := 0; p < n; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			first, second := p, (p+1)%n // left, right
-			if ordered && p == n-1 {
-				first, second = (p+1)%n, p // philosopher 4 reverses
-			}
-			for m := 0; m < meals; m++ {
-				logEvent(p, "request", first)
-				forks[first].Wait()
-				logEvent(p, "acquire", first)
-				if m == 0 && gate != nil {
-					gate.Await() // everyone now holds their first fork
-				}
-				logEvent(p, "request", second)
-				if !waitWithTimeout(forks[second], 200*time.Millisecond) {
-					logEvent(p, "blocked", second)
-					return // deadlocked: give up, still holding `first`
-				}
-				logEvent(p, "acquire", second)
-				mealsEaten.Add(1)
-				logEvent(p, "release", second)
-				forks[second].Signal()
-				logEvent(p, "release", first)
-				forks[first].Signal()
-			}
-		}(p)
-	}
-	go func() { wg.Wait(); close(done) }()
-	deadlocked := false
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		deadlocked = true // belt and braces; waitWithTimeout normally fires first
-	}
-	// If any philosopher gave up blocked, the run deadlocked.
-	mu.Lock()
-	for _, e := range events {
-		if e.Action == "blocked" {
-			deadlocked = true
-		}
-	}
-	evCopy := append([]Lab6Event(nil), events...)
-	mu.Unlock()
-	expected := int64(n * meals)
-	got := mealsEaten.Load()
-	return Lab6Result{
-		Result: Result{
-			Lab: Lab6Deadlock, Fixed: ordered,
-			Correct:  !deadlocked && got == expected,
-			Observed: got, Expected: expected,
-			Detail: fmt.Sprintf("meals=%d/%d deadlocked=%v", got, expected, deadlocked),
-		},
-		Deadlocked: deadlocked,
-		Events:     evCopy,
-		Meals:      got,
-	}
-}
-
-// waitWithTimeout polls TryWait until success or the deadline; the lab uses
-// it to detect the deadlock rather than hang the harness.
-func waitWithTimeout(s *primitives.Semaphore, d time.Duration) bool {
-	deadline := time.Now().Add(d)
-	for {
-		if s.TryWait() {
-			return true
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-}
-
-// --- PA 3: bounded buffer ----------------------------------------------------------
-
-// PA3Mode selects the synchronization strategy.
-type PA3Mode int
-
-// The assignment's three versions.
-const (
-	// PA3Broken is the handed-out program: it guards the buffer with a
-	// mutex but checks fullness/emptiness with a plain if before sleeping,
-	// so wakeups are lost and items are overwritten or re-consumed.
-	PA3Broken PA3Mode = iota
-	// PA3Mutex is fix (a): mutex plus condition-style re-checking.
-	PA3Mutex
-	// PA3Semaphore is fix (b): counting semaphores for slots and items.
-	PA3Semaphore
-)
-
-// String names the mode.
-func (m PA3Mode) String() string {
-	switch m {
-	case PA3Broken:
-		return "broken"
-	case PA3Mutex:
-		return "mutex"
-	case PA3Semaphore:
-		return "semaphore"
-	default:
-		return fmt.Sprintf("PA3Mode(%d)", int(m))
-	}
-}
-
-// RunPA3 runs one producer and one consumer over a bounded buffer of the
-// given capacity, transferring `items` sequential values. Correct means the
-// consumer received exactly 1..items in order.
-func RunPA3(items, capacity int, mode PA3Mode) Result {
-	buf := make([]int64, capacity)
-	// count is atomic so the broken mode's unlocked check is a model-level
-	// bug, not a Go data race; in/out are only touched under mu.
-	var count atomic.Int64
-	var in, out int
-	var mu sync.Mutex
-	slots := primitives.NewSemaphore(capacity)
-	fill := primitives.NewSemaphore(0)
-	received := make([]int64, 0, items)
-	var wg sync.WaitGroup
-	wg.Add(2)
-
-	go func() { // producer
-		defer wg.Done()
-		for v := int64(1); v <= int64(items); v++ {
-			switch mode {
-			case PA3Broken:
-				// Lost-update version: checks count without holding the
-				// lock across the decision, and never blocks properly.
-				if count.Load() >= int64(capacity) {
-					yield() // "sleep" hoping the consumer drains
-				}
-				mu.Lock()
-				buf[in] = v
-				in = (in + 1) % capacity
-				count.Add(1) // may exceed capacity → overwrites
-				mu.Unlock()
-			case PA3Mutex:
-				for {
-					mu.Lock()
-					if count.Load() < int64(capacity) {
-						break
-					}
-					mu.Unlock()
-					yield()
-				}
-				buf[in] = v
-				in = (in + 1) % capacity
-				count.Add(1)
-				mu.Unlock()
-			case PA3Semaphore:
-				slots.Wait()
-				mu.Lock()
-				buf[in] = v
-				in = (in + 1) % capacity
-				mu.Unlock()
-				fill.Signal()
-			}
-		}
-	}()
-
-	go func() { // consumer
-		defer wg.Done()
-		for n := 0; n < items; n++ {
-			switch mode {
-			case PA3Broken:
-				if count.Load() <= 0 {
-					yield()
-				}
-				mu.Lock()
-				v := buf[out]
-				out = (out + 1) % capacity
-				count.Add(-1)
-				mu.Unlock()
-				received = append(received, v)
-			case PA3Mutex:
-				for {
-					mu.Lock()
-					if count.Load() > 0 {
-						break
-					}
-					mu.Unlock()
-					yield()
-				}
-				v := buf[out]
-				out = (out + 1) % capacity
-				count.Add(-1)
-				mu.Unlock()
-				received = append(received, v)
-			case PA3Semaphore:
-				fill.Wait()
-				mu.Lock()
-				v := buf[out]
-				out = (out + 1) % capacity
-				mu.Unlock()
-				slots.Signal()
-				received = append(received, v)
-			}
-		}
-	}()
-	wg.Wait()
-
-	correct := len(received) == items
-	if correct {
-		for i, v := range received {
-			if v != int64(i+1) {
-				correct = false
-				break
-			}
-		}
-	}
-	return Result{
-		Lab: PA3BoundedBuffer, Fixed: mode != PA3Broken,
-		Correct:  correct,
-		Observed: int64(len(received)), Expected: int64(items),
-		Detail: fmt.Sprintf("mode=%s received=%d in-order=%v", mode, len(received), correct),
-	}
 }

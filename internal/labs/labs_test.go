@@ -1,7 +1,7 @@
 package labs
 
 import (
-	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -22,30 +22,32 @@ func TestAllListsSevenAssignments(t *testing.T) {
 	}
 }
 
+// runAt runs a one-rank lab at seed, failing the test on an error.
+func runAt(t *testing.T, id ID, fixed bool, seed int64) Result {
+	t.Helper()
+	res, err := Run(id, fixed, seed)
+	if err != nil {
+		t.Fatalf("lab %v fixed=%v seed %d: %v (output %q)", id, fixed, seed, err, res.Output)
+	}
+	return res
+}
+
 func TestLab1SynchronizedIsExact(t *testing.T) {
-	res := RunLab1(5000, true)
-	if !res.Correct || res.Observed != 10000 {
+	if res := runAt(t, Lab1Synchronization, true, 1); !res.Correct || res.Detail != "RESULT counter 20000" {
 		t.Fatalf("synchronized counter: %+v", res)
 	}
 }
 
 func TestLab1UnsynchronizedLosesUpdates(t *testing.T) {
-	// The race is probabilistic per-run; across a few attempts it is
-	// essentially certain.
-	for attempt := 0; attempt < 5; attempt++ {
-		res := RunLab1(5000, false)
-		if !res.Correct {
-			if res.Observed >= res.Expected {
-				t.Fatalf("lost-update run gained updates: %+v", res)
-			}
-			return
-		}
+	res := runAt(t, Lab1Synchronization, false, 1)
+	var got int
+	if _, err := fmt.Sscanf(res.Detail, "RESULT counter %d", &got); err != nil || res.Correct || got >= 20000 {
+		t.Fatalf("racy counter did not lose updates: %+v", res)
 	}
-	t.Fatal("unsynchronized counter was correct 5 times in a row")
 }
 
 func TestLab2WithLockIsExactAndGeneratesInvalidations(t *testing.T) {
-	res, err := RunLab2(4, 200, true)
+	res, err := RunLab2(4, 200, true, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,17 +59,25 @@ func TestLab2WithLockIsExactAndGeneratesInvalidations(t *testing.T) {
 	}
 }
 
+// TestLab2WithoutLockLosesUpdates: one goroutine steps the simulated cores
+// from a seeded picker, so at every seed two runs give the same stats, the
+// TAS-locked count is exact and the unlocked one loses updates.
 func TestLab2WithoutLockLosesUpdates(t *testing.T) {
-	for attempt := 0; attempt < 5; attempt++ {
-		res, err := RunLab2(4, 500, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Correct {
-			return
+	for seed := int64(1); seed <= 10; seed++ {
+		for _, useLock := range []bool{false, true} {
+			a, err := RunLab2(4, 300, useLock, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, _ := RunLab2(4, 300, useLock, seed)
+			if a.Stats != b.Stats || a.Detail != b.Detail {
+				t.Errorf("seed %d lock=%v: runs differ: %s %+v and %s %+v", seed, useLock, a.Detail, a.Stats, b.Detail, b.Stats)
+			}
+			if a.Correct != useLock {
+				t.Errorf("seed %d lock=%v: %s", seed, useLock, a.Detail)
+			}
 		}
 	}
-	t.Fatal("unlocked memsim increments were correct 5 times in a row")
 }
 
 func TestLab3NUMASlowerThanUMA(t *testing.T) {
@@ -84,115 +94,66 @@ func TestLab3NUMASlowerThanUMA(t *testing.T) {
 }
 
 func TestLab4SyncedCopiesExactly(t *testing.T) {
-	input := []int64{5, 3, 9, 12, 7, -1}
-	res := RunLab4(input, true)
-	if !res.Correct {
-		t.Fatalf("synced copy failed: %+v", res)
-	}
-}
-
-func TestLab4AppendsSentinelWhenMissing(t *testing.T) {
-	res := RunLab4([]int64{1, 2, 3}, true)
-	if !res.Correct || res.Expected != 4 {
-		t.Fatalf("sentinel handling: %+v", res)
+	if res := runAt(t, Lab4ProcessThread, true, 1); !res.Correct || res.Detail != "RESULT copied_ok true" {
+		t.Fatalf("synced copy: %+v", res)
 	}
 }
 
 func TestLab4UnsyncedUsuallyWrong(t *testing.T) {
-	input := make([]int64, 200)
-	for i := range input {
-		input[i] = int64(i + 1)
+	if res := runAt(t, Lab4ProcessThread, false, 1); res.Correct || res.Detail != "RESULT copied_ok false" {
+		t.Fatalf("unsynced copy: %+v", res)
 	}
-	input[199] = -1
-	for attempt := 0; attempt < 5; attempt++ {
-		if res := RunLab4(input, false); !res.Correct {
-			return
-		}
-	}
-	t.Fatal("unsynced copy was correct 5 times in a row")
 }
 
 func TestLab5MutexBalanceExact(t *testing.T) {
-	res := RunLab5(60000, 50000, true)
-	if !res.Correct || res.Observed != 990_000 {
+	// The paper's ending balance: 1M - 600k + 500k, scaled in the source.
+	if res := runAt(t, Lab5BankAccount, true, 1); !res.Correct || res.Detail != "RESULT balance 900000" {
 		t.Fatalf("mutex balance: %+v", res)
 	}
 }
 
-func TestLab5PaperScenario(t *testing.T) {
-	// The paper's exact numbers: 1M start, withdraw 600k, deposit 500k.
-	res := RunLab5(600_000, 500_000, true)
-	if !res.Correct || res.Observed != 900_000 {
-		t.Fatalf("paper scenario: %+v", res)
-	}
-}
-
 func TestLab5UnsynchronizedWrong(t *testing.T) {
-	for attempt := 0; attempt < 5; attempt++ {
-		if res := RunLab5(30000, 25000, false); !res.Correct {
-			return
-		}
+	if res := runAt(t, Lab5BankAccount, false, 1); res.Correct {
+		t.Fatalf("racy balance was right: %+v", res)
 	}
-	t.Fatal("racy balance was correct 5 times in a row")
 }
 
 func TestLab6UnorderedDeadlocks(t *testing.T) {
-	res := RunLab6(3, false)
-	if !res.Deadlocked {
-		t.Fatalf("unordered philosophers did not deadlock: %+v", res.Result)
-	}
-	if res.Correct {
-		t.Fatal("deadlocked run reported correct")
-	}
-	// The event log must show each philosopher acquiring its first fork
-	// and at least one blocking.
-	acquires, blocked := 0, 0
-	for _, e := range res.Events {
-		switch e.Action {
-		case "acquire":
-			acquires++
-		case "blocked":
-			blocked++
-		}
-	}
-	if acquires < 5 || blocked == 0 {
-		t.Fatalf("event log: %d acquires, %d blocked", acquires, blocked)
+	// Every philosopher holds its left fork and gives up on its right one.
+	res := runAt(t, Lab6Deadlock, false, 1)
+	if res.Correct || res.Detail != "RESULT meals 0" || strings.Count(res.Output, "blocked on fork") != 5 {
+		t.Fatalf("unordered philosophers:\n%s", res.Output)
 	}
 }
 
 func TestLab6OrderedCompletes(t *testing.T) {
-	res := RunLab6(3, true)
-	if res.Deadlocked || !res.Correct || res.Meals != 15 {
-		t.Fatalf("ordered philosophers: %+v", res.Result)
+	if res := runAt(t, Lab6Deadlock, true, 1); !res.Correct || res.Output != "RESULT meals 15\n" {
+		t.Fatalf("ordered philosophers:\n%s", res.Output)
 	}
 }
 
+// TestPA3FixedModesAlwaysCorrect: the semaphore fix delivers 1..1000 in
+// order at every seed tried.
 func TestPA3FixedModesAlwaysCorrect(t *testing.T) {
-	for _, mode := range []PA3Mode{PA3Mutex, PA3Semaphore} {
-		for trial := 0; trial < 3; trial++ {
-			res := RunPA3(1000, 4, mode)
-			if !res.Correct {
-				t.Fatalf("mode %v trial %d: %+v", mode, trial, res)
-			}
+	for seed := int64(1); seed <= 3; seed++ {
+		if res := runAt(t, PA3BoundedBuffer, true, seed); !res.Correct || res.Detail != "RESULT sum 500500 bad 0" {
+			t.Fatalf("seed %d: %+v", seed, res)
 		}
 	}
 }
 
 func TestPA3BrokenUsuallyWrong(t *testing.T) {
-	for attempt := 0; attempt < 8; attempt++ {
-		if res := RunPA3(2000, 2, PA3Broken); !res.Correct {
-			return
-		}
+	if res := runAt(t, PA3BoundedBuffer, false, 1); res.Correct {
+		t.Fatalf("broken bounded buffer was right: %+v", res)
 	}
-	t.Fatal("broken bounded buffer was correct 8 times in a row")
 }
 
-func TestPA3ModeString(t *testing.T) {
-	if PA3Broken.String() != "broken" || PA3Mutex.String() != "mutex" || PA3Semaphore.String() != "semaphore" {
-		t.Fatal("mode names wrong")
+func TestRunNeedsAOneRankLab(t *testing.T) {
+	if _, err := Run(Lab3UMANUMA, true, 1); err == nil || !strings.Contains(err.Error(), "20-rank") {
+		t.Fatalf("Run(Lab3) err = %v, want the 20-rank error", err)
 	}
-	if PA3Mode(9).String() != "PA3Mode(9)" {
-		t.Fatal("unknown mode name wrong")
+	if _, err := Run(ID(99), true, 1); err == nil {
+		t.Fatal("Run accepted an unknown lab")
 	}
 }
 
@@ -215,34 +176,18 @@ func TestAllMinicSourcesCompile(t *testing.T) {
 	}
 }
 
-// runMinic executes a lab source as one rank at seed and returns stdout.
-func runMinic(t *testing.T, src string, seed int64) string {
-	t.Helper()
-	u, err := minic.CompileSource(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	m := minic.NewMachine(u, minic.MachineConfig{Out: &out, StepBudget: 500_000_000, Seed: seed})
-	if _, err := m.Run(); err != nil {
-		t.Fatalf("run: %v (output %q)", err, out.String())
-	}
-	return out.String()
-}
-
-// sweepSeeds runs a single-rank lab source twice at each of seeds 1-10,
-// requires the two runs to print the same bytes, and returns how many seeds
-// passed the lab's check.
+// sweepSeeds runs a one-rank lab twice at each of seeds 1-10, requires the
+// two runs to print the same bytes, and returns how many seeds passed the
+// lab's check.
 func sweepSeeds(t *testing.T, id ID, fixed bool) int {
 	t.Helper()
-	src, want := MinicSource(id, fixed), ExpectedOutput(id)
 	passed := 0
 	for seed := int64(1); seed <= 10; seed++ {
-		out := runMinic(t, src, seed)
-		if again := runMinic(t, src, seed); again != out {
-			t.Errorf("lab %v fixed=%v seed %d: runs printed %q and %q", id, fixed, seed, out, again)
+		res := runAt(t, id, fixed, seed)
+		if again := runAt(t, id, fixed, seed); again.Output != res.Output {
+			t.Errorf("lab %v fixed=%v seed %d: runs printed %q and %q", id, fixed, seed, res.Output, again.Output)
 		}
-		if strings.Contains(out, want) {
+		if res.Correct {
 			passed++
 		}
 	}
@@ -253,7 +198,7 @@ func TestFixedMinicSourcesProduceExpectedOutput(t *testing.T) {
 	// Lab 3 needs a 20-rank cluster job; the others run as one rank, and
 	// pass on every seed.
 	for _, id := range All() {
-		if id == Lab3UMANUMA {
+		if Ranks(id) != 1 {
 			continue
 		}
 		if passed := sweepSeeds(t, id, true); passed != 10 {
@@ -266,7 +211,7 @@ func TestBuggyMinicSourcesFailTheCheck(t *testing.T) {
 	// Each racy buggy source fails on at least 9 of 10 seeds; Lab 6's
 	// cyclic hold-and-wait fails on every one.
 	for _, id := range All() {
-		if id == Lab3UMANUMA {
+		if Ranks(id) != 1 {
 			continue // needs the cluster; covered by the grading tests
 		}
 		minFailed := 9

@@ -26,7 +26,7 @@ func TestLabSourcesEquivalentUnderOptimization(t *testing.T) {
 				t.Fatalf("lab %v optimize=%v: compile: %v", id, optimize, err)
 			}
 			var out bytes.Buffer
-			m := minic.NewMachine(u, minic.MachineConfig{Out: &out, StepBudget: 500_000_000, Seed: 1})
+			m := minic.NewMachine(u, minic.MachineConfig{Out: &out, StepBudget: StepBudget, Seed: 1})
 			if _, err := m.Run(); err != nil {
 				t.Fatalf("lab %v optimize=%v: run: %v (output %q)", id, optimize, err, out.String())
 			}
@@ -59,7 +59,7 @@ func TestLabSourcesCompileOptimizedAndAudit(t *testing.T) {
 				continue
 			}
 			var out bytes.Buffer
-			m := minic.NewMachine(u, minic.MachineConfig{Out: &out, StepBudget: 500_000_000, Seed: 1})
+			m := minic.NewMachine(u, minic.MachineConfig{Out: &out, StepBudget: StepBudget, Seed: 1})
 			if _, err := m.Run(); err != nil {
 				t.Fatalf("lab %v stack audit run: %v (output %q)", id, err, out.String())
 			}

@@ -509,7 +509,7 @@ func (m *Machine) indexGet(arr, idx *Value, line int) (Value, error) {
 		if idx.I < 0 || idx.I >= int64(len(s)) {
 			return Value{}, errAt(line, 0, "index %d out of range [0,%d)", idx.I, len(s))
 		}
-		return StringValue(string(s[idx.I])), nil
+		return StringValue(s[idx.I : idx.I+1]), nil
 	default:
 		return Value{}, errAt(line, 0, "cannot index a %s", arr.Kind)
 	}

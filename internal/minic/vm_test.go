@@ -162,8 +162,12 @@ func main() {
 	println(a[4]);
 	var s = "abc";
 	println(len(s), s[1]);
+	var u = "héllo";
+	var t = "";
+	for (var i = 0; i < len(u); i = i + 1) { t = t + u[i]; }
+	println(len(u[1]), t == u, len(t));
 }`)
-	want := "[0 1 4 9 16]\n16\n3 b\n"
+	want := "[0 1 4 9 16]\n16\n3 b\n1 true 6\n"
 	if got != want {
 		t.Fatalf("output = %q, want %q", got, want)
 	}

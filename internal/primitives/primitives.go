@@ -1,13 +1,10 @@
-// Package primitives implements the synchronization tools the course modules
-// teach: test-and-set (TAS) spin locks, test-and-test-and-set (TTAS) locks,
-// ticket locks, counting semaphores and cyclic barriers. The spin locks are
-// real atomics-based implementations — the labs use them to demonstrate
-// mutual exclusion, contention and (with package memsim) cache-coherence
-// traffic, and the lock-flavour ablation bench compares them to sync.Mutex.
+// Package primitives implements the spin locks the course modules teach:
+// test-and-set (TAS), test-and-test-and-set (TTAS) and ticket locks. They
+// are real atomics-based implementations, and the lock-flavour ablation
+// bench compares their behaviour under contention with sync.Mutex.
 package primitives
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -48,8 +45,8 @@ func (l *TASLock) Unlock() {
 	}
 }
 
-// Spins reports how many failed acquisition attempts have occurred; the
-// Lab 2 harness uses it as a proxy for coherence traffic.
+// Spins reports how many failed acquisition attempts have occurred, a proxy
+// for the coherence traffic the spinning causes.
 func (l *TASLock) Spins() int64 { return l.spins.Load() }
 
 // TTASLock is a test-and-test-and-set lock: it spins on a plain read (which
@@ -108,105 +105,6 @@ func (l *TicketLock) Lock() {
 func (l *TicketLock) Unlock() {
 	l.serving.Add(1)
 }
-
-// Semaphore is a counting semaphore with the classic P/V (Wait/Signal)
-// interface used by the dining-philosophers and bounded-buffer labs.
-type Semaphore struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	value int
-}
-
-// NewSemaphore returns a semaphore with the given initial value. A negative
-// initial value panics.
-func NewSemaphore(initial int) *Semaphore {
-	if initial < 0 {
-		panic(fmt.Sprintf("primitives: negative semaphore value %d", initial))
-	}
-	s := &Semaphore{value: initial}
-	s.cond = sync.NewCond(&s.mu)
-	return s
-}
-
-// Wait (P) decrements the semaphore, blocking while the value is zero.
-func (s *Semaphore) Wait() {
-	s.mu.Lock()
-	for s.value == 0 {
-		s.cond.Wait()
-	}
-	s.value--
-	s.mu.Unlock()
-}
-
-// TryWait decrements without blocking; it reports whether it succeeded.
-func (s *Semaphore) TryWait() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.value == 0 {
-		return false
-	}
-	s.value--
-	return true
-}
-
-// Signal (V) increments the semaphore, waking one waiter.
-func (s *Semaphore) Signal() {
-	s.mu.Lock()
-	s.value++
-	s.mu.Unlock()
-	s.cond.Signal()
-}
-
-// Value returns the current count (racy by nature; for tests and display).
-func (s *Semaphore) Value() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.value
-}
-
-// Barrier is a reusable (cyclic) barrier for a fixed party count; the MPI
-// runtime's Barrier collective and several labs are built on it.
-type Barrier struct {
-	mu         sync.Mutex
-	cond       *sync.Cond
-	parties    int
-	waiting    int
-	generation uint64
-}
-
-// NewBarrier returns a barrier for n parties. n must be positive.
-func NewBarrier(n int) *Barrier {
-	if n <= 0 {
-		panic(fmt.Sprintf("primitives: barrier parties must be positive, got %d", n))
-	}
-	b := &Barrier{parties: n}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-// Await blocks until all parties have arrived, then releases them together.
-// It returns the arrival index within this generation (0 is first, parties-1
-// is the releasing arrival).
-func (b *Barrier) Await() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	gen := b.generation
-	idx := b.waiting
-	b.waiting++
-	if b.waiting == b.parties {
-		b.waiting = 0
-		b.generation++
-		b.cond.Broadcast()
-		return idx
-	}
-	for gen == b.generation {
-		b.cond.Wait()
-	}
-	return idx
-}
-
-// Parties returns the configured party count.
-func (b *Barrier) Parties() int { return b.parties }
 
 // Compile-time interface checks.
 var (

@@ -2,7 +2,6 @@ package primitives
 
 import (
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -123,157 +122,4 @@ func TestTicketLockFairnessFIFO(t *testing.T) {
 			t.Fatal("ticket holders starved")
 		}
 	}
-}
-
-func TestSemaphoreCounting(t *testing.T) {
-	s := NewSemaphore(2)
-	if s.Value() != 2 {
-		t.Fatalf("initial value = %d", s.Value())
-	}
-	s.Wait()
-	s.Wait()
-	if s.TryWait() {
-		t.Fatal("TryWait succeeded at zero")
-	}
-	s.Signal()
-	if !s.TryWait() {
-		t.Fatal("TryWait failed after Signal")
-	}
-}
-
-func TestSemaphoreBlocksAtZero(t *testing.T) {
-	s := NewSemaphore(0)
-	released := make(chan struct{})
-	go func() {
-		s.Wait()
-		close(released)
-	}()
-	select {
-	case <-released:
-		t.Fatal("Wait returned with value 0")
-	case <-time.After(20 * time.Millisecond):
-	}
-	s.Signal()
-	select {
-	case <-released:
-	case <-time.After(2 * time.Second):
-		t.Fatal("Signal did not release the waiter")
-	}
-}
-
-func TestSemaphoreAsMutexProtectsCounter(t *testing.T) {
-	s := NewSemaphore(1)
-	const workers, each = 8, 1000
-	counter := 0
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < each; j++ {
-				s.Wait()
-				counter++
-				s.Signal()
-			}
-		}()
-	}
-	wg.Wait()
-	if counter != workers*each {
-		t.Fatalf("counter = %d, want %d", counter, workers*each)
-	}
-}
-
-func TestNegativeSemaphorePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewSemaphore(-1) did not panic")
-		}
-	}()
-	NewSemaphore(-1)
-}
-
-func TestBarrierReleasesTogether(t *testing.T) {
-	const n = 6
-	b := NewBarrier(n)
-	if b.Parties() != n {
-		t.Fatalf("Parties = %d", b.Parties())
-	}
-	var before, after atomic.Int32
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			before.Add(1)
-			b.Await()
-			// At this point every party must have arrived.
-			if got := before.Load(); got != n {
-				t.Errorf("released with only %d arrivals", got)
-			}
-			after.Add(1)
-		}()
-	}
-	wg.Wait()
-	if after.Load() != n {
-		t.Fatalf("only %d parties passed the barrier", after.Load())
-	}
-}
-
-func TestBarrierIsCyclic(t *testing.T) {
-	const n, rounds = 4, 10
-	b := NewBarrier(n)
-	var sum atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				b.Await()
-				sum.Add(1)
-			}
-		}()
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("cyclic barrier deadlocked across rounds")
-	}
-	if sum.Load() != n*rounds {
-		t.Fatalf("total passes = %d, want %d", sum.Load(), n*rounds)
-	}
-}
-
-func TestBarrierAwaitIndex(t *testing.T) {
-	const n = 3
-	b := NewBarrier(n)
-	idxs := make(chan int, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			idxs <- b.Await()
-		}()
-	}
-	wg.Wait()
-	close(idxs)
-	seen := make(map[int]bool)
-	for idx := range idxs {
-		if idx < 0 || idx >= n || seen[idx] {
-			t.Fatalf("bad or duplicate arrival index %d", idx)
-		}
-		seen[idx] = true
-	}
-}
-
-func TestBarrierPanicsOnZeroParties(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewBarrier(0) did not panic")
-		}
-	}()
-	NewBarrier(0)
 }
