@@ -76,11 +76,11 @@ bench-vm:
 
 # bench-sched measures sustained control-plane throughput (jobs/sec and
 # scheduler pass latency at 64 and 1024 simulated nodes, and at 1024 with
-# weighted owners and a live tenancy accountant) and records every case in
-# BENCH_sched.json. Like bench-vm, it is not part of check: benchmark
-# walltime is too noisy for a CI gate.
+# weighted owners and a live tenancy accountant) five times per case and
+# records the medians and ranges in BENCH_sched.json. Like bench-vm, it is
+# not part of check: benchmark walltime is too noisy for a CI gate.
 bench-sched:
-	$(GO) test -run '^$$' -bench BenchmarkSchedulerThroughput -benchmem -benchtime 5x ./internal/scheduler/ \
+	$(GO) test -run '^$$' -bench BenchmarkSchedulerThroughput -benchmem -benchtime 5x -count 5 ./internal/scheduler/ \
 	| $(GO) run ./cmd/benchjson -o BENCH_sched.json
 	@cat BENCH_sched.json
 
@@ -95,11 +95,11 @@ bench-stream:
 	@cat BENCH_stream.json
 
 # bench-wal measures the write-ahead log's group-commit append throughput at
-# batch sizes 1, 16 and 256, with fsync on ("always") and off ("never"), and
-# records it in BENCH_wal.json. Like the other bench targets, not part of
-# check.
+# batch sizes 1, 16 and 256, with fsync on ("always") and off ("never"), five
+# times per case, and records the medians and ranges in BENCH_wal.json. Like
+# the other bench targets, not part of check.
 bench-wal:
-	$(GO) test -run '^$$' -bench BenchmarkWALAppend -benchmem -benchtime 1s ./internal/dataprovider/ \
+	$(GO) test -run '^$$' -bench BenchmarkWALAppend -benchmem -benchtime 1s -count 5 ./internal/dataprovider/ \
 	| $(GO) run ./cmd/benchjson -o BENCH_wal.json
 	@cat BENCH_wal.json
 

@@ -83,6 +83,67 @@ func main() {
 	println("RESULT counter", counter);
 }`
 
+// recursiveCallSrc is call-bound: fib(20), int only.
+const recursiveCallSrc = `
+func fib(n) {
+	if (n < 2) { return n; }
+	return fib(n - 1) + fib(n - 2);
+}
+func main() { return fib(20); }`
+
+// threadFanOutSrc spawns eight threads that each sum a loop and add the
+// sum to a global under a mutex.
+const threadFanOutSrc = `
+var counter = 0;
+var m = mutex();
+func worker(n) {
+	var local = 0;
+	for (var i = 0; i < n; i = i + 1) { local = local + i; }
+	lock(m);
+	counter = counter + local;
+	unlock(m);
+}
+func main() {
+	var t0 = spawn(worker, 1000);
+	var t1 = spawn(worker, 1000);
+	var t2 = spawn(worker, 1000);
+	var t3 = spawn(worker, 1000);
+	var t4 = spawn(worker, 1000);
+	var t5 = spawn(worker, 1000);
+	var t6 = spawn(worker, 1000);
+	var t7 = spawn(worker, 1000);
+	join(t0); join(t1); join(t2); join(t3);
+	join(t4); join(t5); join(t6); join(t7);
+	return counter;
+}`
+
+// arraySweepSrc fills a 1000-element array and sums it ten times.
+const arraySweepSrc = `
+func main() {
+	var a = array(1000);
+	for (var i = 0; i < len(a); i = i + 1) { a[i] = i * 2; }
+	var sum = 0;
+	for (var pass = 0; pass < 10; pass = pass + 1) {
+		for (var i = 0; i < len(a); i = i + 1) { sum = sum + a[i]; }
+	}
+	return sum;
+}`
+
+// stringsSrc is a loop of string comparisons and short concatenations, so
+// the macro-ops see non-numeric operands and complete through applyBinary.
+const stringsSrc = `
+func main() {
+	var s = "";
+	var n = 0;
+	for (var i = 0; i < 2000; i = i + 1) {
+		var t = "ab" + itoa(i % 10);
+		if (t == "ab3") { n = n + 1; }
+		if (t < "ab5") { s = t + "x"; } else { s = s + t; }
+		if (len(s) > 40) { s = ""; }
+	}
+	return n;
+}`
+
 func BenchmarkVMTightLoop(b *testing.B) {
 	u := compileBench(b, tightLoopSrc)
 	b.ReportAllocs()
@@ -173,12 +234,7 @@ func BenchmarkVMLab1(b *testing.B) {
 }
 
 func BenchmarkVMRecursiveCall(b *testing.B) {
-	u := compileBench(b, `
-func fib(n) {
-	if (n < 2) { return n; }
-	return fib(n - 1) + fib(n - 2);
-}
-func main() { return fib(20); }`)
+	u := compileBench(b, recursiveCallSrc)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -190,29 +246,7 @@ func main() { return fib(20); }`)
 }
 
 func BenchmarkVMThreadFanOut(b *testing.B) {
-	u := compileBench(b, `
-var counter = 0;
-var m = mutex();
-func worker(n) {
-	var local = 0;
-	for (var i = 0; i < n; i = i + 1) { local = local + i; }
-	lock(m);
-	counter = counter + local;
-	unlock(m);
-}
-func main() {
-	var t0 = spawn(worker, 1000);
-	var t1 = spawn(worker, 1000);
-	var t2 = spawn(worker, 1000);
-	var t3 = spawn(worker, 1000);
-	var t4 = spawn(worker, 1000);
-	var t5 = spawn(worker, 1000);
-	var t6 = spawn(worker, 1000);
-	var t7 = spawn(worker, 1000);
-	join(t0); join(t1); join(t2); join(t3);
-	join(t4); join(t5); join(t6); join(t7);
-	return counter;
-}`)
+	u := compileBench(b, threadFanOutSrc)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -224,16 +258,7 @@ func main() {
 }
 
 func BenchmarkVMArraySweep(b *testing.B) {
-	u := compileBench(b, `
-func main() {
-	var a = array(1000);
-	for (var i = 0; i < len(a); i = i + 1) { a[i] = i * 2; }
-	var sum = 0;
-	for (var pass = 0; pass < 10; pass = pass + 1) {
-		for (var i = 0; i < len(a); i = i + 1) { sum = sum + a[i]; }
-	}
-	return sum;
-}`)
+	u := compileBench(b, arraySweepSrc)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -242,4 +267,21 @@ func main() {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkVMStrings runs string comparisons and concatenations through the
+// macro-op shapes, which decline to applyBinary for non-numeric operands.
+func BenchmarkVMStrings(b *testing.B) {
+	u := compileBench(b, stringsSrc)
+	var steps int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := NewMachine(u, MachineConfig{StepBudget: 1 << 40})
+		if _, err := m.Run(); err != nil {
+			b.Fatal(err)
+		}
+		steps += m.Steps()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
 }

@@ -2,6 +2,7 @@ package minic
 
 import (
 	"fmt"
+	"strings"
 )
 
 // OpCode is a VM instruction opcode.
@@ -29,10 +30,32 @@ const (
 
 	// Fused superinstructions, emitted only by the optimizer (optimize.go)
 	// for the pairs/triples that dominate the lab programs' hot loops. They
-	// are exact semantic contractions of their expansions.
+	// are exact semantic contractions of their expansions, and each is one
+	// step.
 	OpLoadLocalConstBin // push binary C over (locals[A], Consts[B])
 	OpLoadLocal2Bin     // push binary C over (locals[A], locals[B])
 	OpConstStoreLocal   // locals[B] = Consts[A]
+
+	// Macro-ops, found only in CompiledFunc.Code (macro.go). Each stands
+	// first in a window of W instructions of Base, does the window's work
+	// in one dispatch and charges W steps.
+	OpSetIndexOp             // locals[A][locals[B]] = locals[A][locals[B]] op C locals[D]
+	OpStoreGlobalOp          // globals[A] = globals[A] op C Consts[B]
+	OpIndexLocals            // push locals[A][locals[B]]
+	OpLoadLocal2BinStore     // locals[D] = locals[A] op C locals[B]
+	OpLoadLocalConstBinStore // locals[D] = locals[A] op C Consts[B]
+	OpLoadLocal2BinJump      // if !(locals[A] op C locals[B]) { pc = D }
+	OpLoadLocalConstBinJump  // if !(locals[A] op C Consts[B]) { pc = D }
+	OpBinJump                // y = pop, x = pop; if !(x op C y) { pc = D }
+	OpBinStore               // y = pop, x = pop; locals[D] = x op C y
+	OpLoadLocalBin           // push locals[D], then binary A
+	OpConstBin               // push Consts[D], then binary A
+	OpLoadLocalCallB         // push locals[D], then call builtin A with B = 1 arg
+	OpLoadGlobalCallB        // push globals[D], then call builtin A with B = 1 arg
+	OpLoadLocalBinStore      // x = pop; locals[D] = x op C locals[A]
+	OpLoadLocal2BinLoadBin   // push (locals[A] op C locals[B]) op E locals[D]
+	OpConstLoadLocal2BinBin  // push Consts[D] op E (locals[A] op C locals[B])
+	OpLoadLocal2BinBinJump   // x = pop; if !(x op E (locals[A] op C locals[B])) { pc = D }
 )
 
 // opNames maps opcodes to mnemonic names for disassembly.
@@ -44,6 +67,25 @@ var opNames = [...]string{
 	OpBinary: "bin", OpUnary: "un", OpIndex: "index", OpSetIndex: "setindex",
 	OpLoadLocalConstBin: "loadl+const+bin", OpLoadLocal2Bin: "loadl+loadl+bin",
 	OpConstStoreLocal: "const+storel",
+
+	// A macro-op is named after its window of Base.
+	OpSetIndexOp:             "loadl;loadl;loadl;loadl;index;loadl;bin;setindex",
+	OpStoreGlobalOp:          "loadg;const;bin;storeg",
+	OpIndexLocals:            "loadl;loadl;index",
+	OpLoadLocal2BinStore:     "loadl+loadl+bin;storel",
+	OpLoadLocalConstBinStore: "loadl+const+bin;storel",
+	OpLoadLocal2BinJump:      "loadl+loadl+bin;jfalse",
+	OpLoadLocalConstBinJump:  "loadl+const+bin;jfalse",
+	OpBinJump:                "bin;jfalse",
+	OpBinStore:               "bin;storel",
+	OpLoadLocalBin:           "loadl;bin",
+	OpConstBin:               "const;bin",
+	OpLoadLocalCallB:         "loadl;callb",
+	OpLoadGlobalCallB:        "loadg;callb",
+	OpLoadLocalBinStore:      "loadl;bin;storel",
+	OpLoadLocal2BinLoadBin:   "loadl+loadl+bin;loadl;bin",
+	OpConstLoadLocal2BinBin:  "const;loadl+loadl+bin;bin",
+	OpLoadLocal2BinBinJump:   "loadl+loadl+bin;bin;jfalse",
 }
 
 // String names the opcode.
@@ -83,24 +125,32 @@ var binOpCode = map[string]int{
 	"&&": BinAnd, "||": BinOr,
 }
 
-// Instr is one VM instruction. Line carries the source line for runtime
-// diagnostics. C is used only by the fused superinstructions (the binary
-// operator code).
+// Instr is one VM instruction, 20 bytes. Line carries the source line for
+// runtime diagnostics. C is the binary operator code of the fused
+// instructions; D and E are a macro-op's fourth operand and second
+// operator. W is the number of steps the instruction charges: 1 for every
+// instruction of Base, the window's width for a macro-op.
 type Instr struct {
 	Op      OpCode
-	A, B, C int
-	Line    int
+	W, C, E uint8
+	A, B, D int32
+	Line    int32
 }
 
-// CompiledFunc is a compiled function body. MaxStack is the operand-stack
-// high-water mark computed at compile time, so the VM can carve the whole
-// activation (locals + operand stack) out of a reusable arena without ever
-// growing it mid-function.
+// CompiledFunc is a compiled function body. Base is the canonical code the
+// optimizer leaves, one step per instruction: it defines every step,
+// quantum end, flush and error line. Code is what the VM dispatches: Base
+// itself, or with the optimizer on, a same-length copy of Base in which
+// macro-ops stand first in their windows (macro.go). MaxStack is Base's
+// operand-stack high-water mark computed at compile time, so the VM can
+// carve the whole activation (locals + operand stack) out of a reusable
+// arena without ever growing it mid-function.
 type CompiledFunc struct {
 	Name      string
 	NumParams int
 	NumLocals int // including params
 	MaxStack  int // operand stack slots the body can ever occupy
+	Base      []Instr
 	Code      []Instr
 }
 
@@ -108,23 +158,23 @@ type CompiledFunc struct {
 // toolchain stores as a build artifact and ships to cluster nodes. A Unit is
 // shared by every job (and every rank) that runs the same artifact, so it
 // must be treated as immutable after Compile returns: the VM reads Consts,
-// Funcs and GlobalInit but never writes them.
+// Funcs and Init but never writes them.
 type Unit struct {
-	Consts       []Value
-	Globals      []string // global names, in slot order
-	GlobalInit   []Instr  // initializer code run once, at rank start
-	InitMaxStack int      // operand-stack bound for GlobalInit
-	Funcs        []*CompiledFunc
-	FuncIndex    map[string]int
-	EntryPoint   int // index of main
+	Consts     []Value
+	Globals    []string      // global names, in slot order
+	Init       *CompiledFunc // global initializers, run once at rank start; nil if none
+	Funcs      []*CompiledFunc
+	FuncIndex  map[string]int
+	EntryPoint int // index of main
 }
 
 // CompileOptions tune compilation.
 type CompileOptions struct {
 	// DisableOptimize skips the bytecode optimization pass (constant
 	// folding, jump threading, dead-pop elimination, superinstruction
-	// fusion). The pass is semantics-preserving, so this exists for
-	// debugging and for the optimizer-equivalence tests.
+	// fusion) and the macro-ops built on its output. The pass is
+	// semantics-preserving, so this exists for debugging and for the
+	// optimizer-equivalence tests.
 	DisableOptimize bool
 }
 
@@ -178,9 +228,13 @@ func CompileWithOptions(prog *Program, opts CompileOptions) (*Unit, error) {
 			return nil, err
 		}
 		l, _ := g.Pos()
-		gc.emit(Instr{Op: OpStoreGlobal, A: globalSlot[g.Name], Line: l})
+		gc.emit(OpStoreGlobal, globalSlot[g.Name], 0, l)
 	}
-	u.GlobalInit = gc.code
+	var bodies []*CompiledFunc
+	if len(gc.code) > 0 {
+		u.Init = &CompiledFunc{Name: "<init>", Base: gc.code}
+		bodies = append(bodies, u.Init)
+	}
 
 	// Pass 3: compile function bodies.
 	for i, f := range prog.Funcs {
@@ -195,23 +249,27 @@ func CompileWithOptions(prog *Program, opts CompileOptions) (*Unit, error) {
 			return nil, err
 		}
 		// Implicit return at the end of every function.
-		fc.emit(Instr{Op: OpReturnNil, Line: lastLine(f.Body)})
-		u.Funcs[i].Code = fc.code
+		fc.emit(OpReturnNil, 0, 0, lastLine(f.Body))
+		u.Funcs[i].Base = fc.code
 		u.Funcs[i].NumLocals = fc.maxSlots
 	}
 
-	// Pass 4: optimize, then fix the operand-stack bound of every body.
-	// MaxStack is computed after optimization because fusion changes the
-	// stack profile (a fused triple touches the stack once, not thrice).
-	if !opts.DisableOptimize {
-		u.GlobalInit = optimizeCode(u, u.GlobalInit)
-		for _, f := range u.Funcs {
-			f.Code = optimizeCode(u, f.Code)
+	// Pass 4: optimize, then fix each body's step weights, operand-stack
+	// bound and dispatched code. MaxStack is computed after optimization
+	// because fusion changes the stack profile (a fused triple touches the
+	// stack once, not thrice).
+	for _, f := range append(bodies, u.Funcs...) {
+		if !opts.DisableOptimize {
+			f.Base = optimizeCode(u, f.Base)
 		}
-	}
-	u.InitMaxStack = computeMaxStack(u.GlobalInit)
-	for _, f := range u.Funcs {
-		f.MaxStack = computeMaxStack(f.Code)
+		for i := range f.Base {
+			f.Base[i].W = 1
+		}
+		f.MaxStack = computeMaxStack(f.Base)
+		f.Code = f.Base
+		if !opts.DisableOptimize {
+			f.Code = buildMacros(f.Base)
+		}
 	}
 	return u, nil
 }
@@ -259,8 +317,8 @@ type funcCompiler struct {
 	loops    []*loopContext
 }
 
-func (c *funcCompiler) emit(in Instr) int {
-	c.code = append(c.code, in)
+func (c *funcCompiler) emit(op OpCode, a, b, line int) int {
+	c.code = append(c.code, Instr{Op: op, A: int32(a), B: int32(b), Line: int32(line)})
 	return len(c.code) - 1
 }
 
@@ -345,7 +403,7 @@ func (c *funcCompiler) compileStmt(s Stmt) error {
 		if err != nil {
 			return err
 		}
-		c.emit(Instr{Op: OpStoreLocal, A: slot, Line: st.line})
+		c.emit(OpStoreLocal, slot, 0, st.line)
 		return nil
 	case *AssignStmt:
 		return c.compileAssign(st)
@@ -360,16 +418,16 @@ func (c *funcCompiler) compileStmt(s Stmt) error {
 			if err := c.compileExpr(st.Value); err != nil {
 				return err
 			}
-			c.emit(Instr{Op: OpReturn, Line: st.line})
+			c.emit(OpReturn, 0, 0, st.line)
 		} else {
-			c.emit(Instr{Op: OpReturnNil, Line: st.line})
+			c.emit(OpReturnNil, 0, 0, st.line)
 		}
 		return nil
 	case *BreakStmt:
 		if len(c.loops) == 0 {
 			return errAt(st.line, st.col, "break outside loop")
 		}
-		idx := c.emit(Instr{Op: OpJump, Line: st.line})
+		idx := c.emit(OpJump, 0, 0, st.line)
 		lp := c.loops[len(c.loops)-1]
 		lp.breakJumps = append(lp.breakJumps, idx)
 		return nil
@@ -377,7 +435,7 @@ func (c *funcCompiler) compileStmt(s Stmt) error {
 		if len(c.loops) == 0 {
 			return errAt(st.line, st.col, "continue outside loop")
 		}
-		idx := c.emit(Instr{Op: OpJump, Line: st.line})
+		idx := c.emit(OpJump, 0, 0, st.line)
 		lp := c.loops[len(c.loops)-1]
 		lp.continueJumps = append(lp.continueJumps, idx)
 		return nil
@@ -385,7 +443,7 @@ func (c *funcCompiler) compileStmt(s Stmt) error {
 		if err := c.compileExpr(st.X); err != nil {
 			return err
 		}
-		c.emit(Instr{Op: OpPop, Line: st.line})
+		c.emit(OpPop, 0, 0, st.line)
 		return nil
 	default:
 		l, col := s.Pos()
@@ -407,7 +465,7 @@ func (c *funcCompiler) compileAssign(st *AssignStmt) error {
 		if local {
 			op = OpStoreLocal
 		}
-		c.emit(Instr{Op: op, A: slot, Line: st.line})
+		c.emit(op, slot, 0, st.line)
 		return nil
 	case *IndexExpr:
 		if err := c.compileExpr(target.X); err != nil {
@@ -419,7 +477,7 @@ func (c *funcCompiler) compileAssign(st *AssignStmt) error {
 		if err := c.compileExpr(st.Value); err != nil {
 			return err
 		}
-		c.emit(Instr{Op: OpSetIndex, Line: st.line})
+		c.emit(OpSetIndex, 0, 0, st.line)
 		return nil
 	default:
 		l, col := st.Pos()
@@ -431,20 +489,20 @@ func (c *funcCompiler) compileIf(st *IfStmt) error {
 	if err := c.compileExpr(st.Cond); err != nil {
 		return err
 	}
-	jElse := c.emit(Instr{Op: OpJumpIfFalse, Line: st.line})
+	jElse := c.emit(OpJumpIfFalse, 0, 0, st.line)
 	if err := c.compileBlock(st.Then); err != nil {
 		return err
 	}
 	if st.Else == nil {
-		c.code[jElse].A = len(c.code)
+		c.code[jElse].A = int32(len(c.code))
 		return nil
 	}
-	jEnd := c.emit(Instr{Op: OpJump, Line: st.line})
-	c.code[jElse].A = len(c.code)
+	jEnd := c.emit(OpJump, 0, 0, st.line)
+	c.code[jElse].A = int32(len(c.code))
 	if err := c.compileStmt(st.Else); err != nil {
 		return err
 	}
-	c.code[jEnd].A = len(c.code)
+	c.code[jEnd].A = int32(len(c.code))
 	return nil
 }
 
@@ -453,21 +511,21 @@ func (c *funcCompiler) compileWhile(st *WhileStmt) error {
 	if err := c.compileExpr(st.Cond); err != nil {
 		return err
 	}
-	jExit := c.emit(Instr{Op: OpJumpIfFalse, Line: st.line})
+	jExit := c.emit(OpJumpIfFalse, 0, 0, st.line)
 	c.loops = append(c.loops, &loopContext{})
 	if err := c.compileBlock(st.Body); err != nil {
 		return err
 	}
-	c.emit(Instr{Op: OpJump, A: top, Line: st.line})
+	c.emit(OpJump, top, 0, st.line)
 	end := len(c.code)
-	c.code[jExit].A = end
+	c.code[jExit].A = int32(end)
 	lp := c.loops[len(c.loops)-1]
 	c.loops = c.loops[:len(c.loops)-1]
 	for _, j := range lp.breakJumps {
-		c.code[j].A = end
+		c.code[j].A = int32(end)
 	}
 	for _, j := range lp.continueJumps {
-		c.code[j].A = top
+		c.code[j].A = int32(top)
 	}
 	return nil
 }
@@ -486,7 +544,7 @@ func (c *funcCompiler) compileFor(st *ForStmt) error {
 		if err := c.compileExpr(st.Cond); err != nil {
 			return err
 		}
-		jExit = c.emit(Instr{Op: OpJumpIfFalse, Line: st.line})
+		jExit = c.emit(OpJumpIfFalse, 0, 0, st.line)
 	}
 	c.loops = append(c.loops, &loopContext{})
 	if err := c.compileBlock(st.Body); err != nil {
@@ -498,18 +556,18 @@ func (c *funcCompiler) compileFor(st *ForStmt) error {
 			return err
 		}
 	}
-	c.emit(Instr{Op: OpJump, A: top, Line: st.line})
+	c.emit(OpJump, top, 0, st.line)
 	end := len(c.code)
 	if jExit >= 0 {
-		c.code[jExit].A = end
+		c.code[jExit].A = int32(end)
 	}
 	lp := c.loops[len(c.loops)-1]
 	c.loops = c.loops[:len(c.loops)-1]
 	for _, j := range lp.breakJumps {
-		c.code[j].A = end
+		c.code[j].A = int32(end)
 	}
 	for _, j := range lp.continueJumps {
-		c.code[j].A = postStart
+		c.code[j].A = int32(postStart)
 	}
 	return nil
 }
@@ -517,13 +575,13 @@ func (c *funcCompiler) compileFor(st *ForStmt) error {
 func (c *funcCompiler) compileExpr(e Expr) error {
 	switch ex := e.(type) {
 	case *IntLit:
-		c.emit(Instr{Op: OpConst, A: c.addConst(IntValue(ex.Value)), Line: ex.line})
+		c.emit(OpConst, c.addConst(IntValue(ex.Value)), 0, ex.line)
 	case *FloatLit:
-		c.emit(Instr{Op: OpConst, A: c.addConst(FloatValue(ex.Value)), Line: ex.line})
+		c.emit(OpConst, c.addConst(FloatValue(ex.Value)), 0, ex.line)
 	case *StringLit:
-		c.emit(Instr{Op: OpConst, A: c.addConst(StringValue(ex.Value)), Line: ex.line})
+		c.emit(OpConst, c.addConst(StringValue(ex.Value)), 0, ex.line)
 	case *BoolLit:
-		c.emit(Instr{Op: OpConst, A: c.addConst(BoolValue(ex.Value)), Line: ex.line})
+		c.emit(OpConst, c.addConst(BoolValue(ex.Value)), 0, ex.line)
 	case *Ident:
 		slot, local, ok := c.resolve(ex.Name)
 		if !ok {
@@ -533,7 +591,7 @@ func (c *funcCompiler) compileExpr(e Expr) error {
 		if local {
 			op = OpLoadLocal
 		}
-		c.emit(Instr{Op: op, A: slot, Line: ex.line})
+		c.emit(op, slot, 0, ex.line)
 	case *UnaryExpr:
 		if err := c.compileExpr(ex.X); err != nil {
 			return err
@@ -542,7 +600,7 @@ func (c *funcCompiler) compileExpr(e Expr) error {
 		if ex.Op == "!" {
 			code = UnNot
 		}
-		c.emit(Instr{Op: OpUnary, A: code, Line: ex.line})
+		c.emit(OpUnary, code, 0, ex.line)
 	case *BinaryExpr:
 		// Note: && and || evaluate both sides (no short circuit); the
 		// language is small enough that this is documented behaviour.
@@ -556,7 +614,7 @@ func (c *funcCompiler) compileExpr(e Expr) error {
 		if !ok {
 			return errAt(ex.line, ex.col, "unknown operator %q", ex.Op)
 		}
-		c.emit(Instr{Op: OpBinary, A: code, Line: ex.line})
+		c.emit(OpBinary, code, 0, ex.line)
 	case *IndexExpr:
 		if err := c.compileExpr(ex.X); err != nil {
 			return err
@@ -564,7 +622,7 @@ func (c *funcCompiler) compileExpr(e Expr) error {
 		if err := c.compileExpr(ex.Index); err != nil {
 			return err
 		}
-		c.emit(Instr{Op: OpIndex, Line: ex.line})
+		c.emit(OpIndex, 0, 0, ex.line)
 	case *CallExpr:
 		return c.compileCall(ex)
 	default:
@@ -598,7 +656,7 @@ func (c *funcCompiler) compileCall(ex *CallExpr) error {
 				return err
 			}
 		}
-		c.emit(Instr{Op: OpSpawn, A: fi, B: len(ex.Args) - 1, Line: ex.line})
+		c.emit(OpSpawn, fi, len(ex.Args)-1, ex.line)
 		return nil
 	}
 	if fi, ok := c.unit.FuncIndex[ex.Name]; ok {
@@ -611,7 +669,7 @@ func (c *funcCompiler) compileCall(ex *CallExpr) error {
 				return err
 			}
 		}
-		c.emit(Instr{Op: OpCall, A: fi, B: len(ex.Args), Line: ex.line})
+		c.emit(OpCall, fi, len(ex.Args), ex.line)
 		return nil
 	}
 	bi, ok := builtinIndex[ex.Name]
@@ -627,19 +685,22 @@ func (c *funcCompiler) compileCall(ex *CallExpr) error {
 			return err
 		}
 	}
-	c.emit(Instr{Op: OpCallBuiltin, A: bi, B: len(ex.Args), Line: ex.line})
+	c.emit(OpCallBuiltin, bi, len(ex.Args), ex.line)
 	return nil
 }
 
-// Disassemble renders a unit's code for debugging and the compiler tests.
+// Disassemble renders a unit's code for debugging and the compiler tests:
+// each function's Code as the VM dispatches it, with every instruction's
+// step weight W. A macro-op's window continues with the W-1 instructions of
+// Base after it.
 func (u *Unit) Disassemble() string {
-	out := ""
+	var sb strings.Builder
 	for _, f := range u.Funcs {
-		out += fmt.Sprintf("func %s (params=%d locals=%d maxstack=%d)\n",
+		fmt.Fprintf(&sb, "func %s (params=%d locals=%d maxstack=%d)\n",
 			f.Name, f.NumParams, f.NumLocals, f.MaxStack)
 		for i, in := range f.Code {
-			out += fmt.Sprintf("  %3d: %-16s a=%d b=%d c=%d\n", i, in.Op, in.A, in.B, in.C)
+			fmt.Fprintf(&sb, "  %3d: %-24s w=%d a=%d b=%d c=%d d=%d\n", i, in.Op, in.W, in.A, in.B, in.C, in.D)
 		}
 	}
-	return out
+	return sb.String()
 }

@@ -87,7 +87,7 @@ func rewrite(code []Instr, window func(i int) ([]Instr, int)) ([]Instr, bool) {
 	}
 	for i := range out {
 		if out[i].Op == OpJump || out[i].Op == OpJumpIfFalse {
-			out[i].A = newIdx[out[i].A]
+			out[i].A = int32(newIdx[out[i].A])
 		}
 	}
 	return out, true
@@ -102,16 +102,16 @@ func foldConstants(u *Unit, code []Instr) ([]Instr, bool) {
 		if i+2 < len(code) &&
 			code[i].Op == OpConst && code[i+1].Op == OpConst && code[i+2].Op == OpBinary &&
 			!isTarget[i+1] && !isTarget[i+2] {
-			v, err := applyBinary(code[i+2].A, u.Consts[code[i].A], u.Consts[code[i+1].A], code[i+2].Line)
+			v, err := applyBinary(int(code[i+2].A), u.Consts[code[i].A], u.Consts[code[i+1].A], int(code[i+2].Line))
 			if err == nil {
-				return []Instr{{Op: OpConst, A: u.internConst(v), Line: code[i].Line}}, 3
+				return []Instr{{Op: OpConst, A: int32(u.internConst(v)), Line: code[i].Line}}, 3
 			}
 		}
 		if i+1 < len(code) &&
 			code[i].Op == OpConst && code[i+1].Op == OpUnary && !isTarget[i+1] {
-			v, err := applyUnary(code[i+1].A, u.Consts[code[i].A], code[i+1].Line)
+			v, err := applyUnary(int(code[i+1].A), u.Consts[code[i].A], int(code[i+1].Line))
 			if err == nil {
-				return []Instr{{Op: OpConst, A: u.internConst(v), Line: code[i].Line}}, 2
+				return []Instr{{Op: OpConst, A: int32(u.internConst(v)), Line: code[i].Line}}, 2
 			}
 		}
 		return nil, 0
@@ -141,10 +141,10 @@ func fuseSuperinstructions(code []Instr) ([]Instr, bool) {
 		if i+2 < len(code) && code[i+2].Op == OpBinary && !isTarget[i+1] && !isTarget[i+2] {
 			a, b := code[i], code[i+1]
 			if a.Op == OpLoadLocal && b.Op == OpConst {
-				return []Instr{{Op: OpLoadLocalConstBin, A: a.A, B: b.A, C: code[i+2].A, Line: code[i+2].Line}}, 3
+				return []Instr{{Op: OpLoadLocalConstBin, A: a.A, B: b.A, C: uint8(code[i+2].A), Line: code[i+2].Line}}, 3
 			}
 			if a.Op == OpLoadLocal && b.Op == OpLoadLocal {
-				return []Instr{{Op: OpLoadLocal2Bin, A: a.A, B: b.A, C: code[i+2].A, Line: code[i+2].Line}}, 3
+				return []Instr{{Op: OpLoadLocal2Bin, A: a.A, B: b.A, C: uint8(code[i+2].A), Line: code[i+2].Line}}, 3
 			}
 		}
 		if i+1 < len(code) && code[i].Op == OpConst && code[i+1].Op == OpStoreLocal && !isTarget[i+1] {
@@ -162,18 +162,18 @@ func threadJumps(code []Instr) {
 		if code[i].Op != OpJump && code[i].Op != OpJumpIfFalse {
 			continue
 		}
-		target := code[i].A
+		target := int(code[i].A)
 		for hops := 0; hops < len(code); hops++ {
-			if target >= len(code) || code[target].Op != OpJump || code[target].A == target {
+			if target >= len(code) || code[target].Op != OpJump || int(code[target].A) == target {
 				break
 			}
 			next := code[target].A
 			if next == code[i].A {
 				break // cycle back to the original target
 			}
-			target = next
+			target = int(next)
 		}
-		code[i].A = target
+		code[i].A = int32(target)
 	}
 }
 
@@ -199,7 +199,7 @@ func stackEffect(in *Instr) (pops, pushes int) {
 	case OpJump, OpReturnNil, OpConstStoreLocal:
 		return 0, 0
 	case OpCall, OpCallBuiltin, OpSpawn:
-		return in.B, 1
+		return int(in.B), 1
 	case OpBinary, OpIndex:
 		return 2, 1
 	case OpUnary:
@@ -249,9 +249,9 @@ func computeMaxStack(code []Instr) int {
 		case OpReturn, OpReturnNil:
 			// terminal
 		case OpJump:
-			visit(in.A, after)
+			visit(int(in.A), after)
 		case OpJumpIfFalse:
-			visit(in.A, after)
+			visit(int(in.A), after)
 			visit(pc+1, after)
 		default:
 			visit(pc+1, after)

@@ -44,10 +44,10 @@ func main() { println(f()); }`
 	f := findFunc(t, u, "f")
 	// The compiler appends a safety retnil; everything before it must have
 	// folded to a single constant return.
-	if len(f.Code) != 3 || f.Code[0].Op != OpConst || f.Code[1].Op != OpReturn {
+	if len(f.Base) != 3 || f.Base[0].Op != OpConst || f.Base[1].Op != OpReturn {
 		t.Fatalf("f not folded to const+ret:\n%s", u.Disassemble())
 	}
-	if v := u.Consts[f.Code[0].A]; v.Kind != KindInt || v.I != 11 {
+	if v := u.Consts[f.Base[0].A]; v.Kind != KindInt || v.I != 11 {
 		t.Fatalf("folded constant = %v, want 11", v)
 	}
 	out, err := runUnit(u, "")
@@ -150,15 +150,20 @@ func sum(n) {
 }
 func main() { println(sum(10)); }`
 	u := compileMode(t, src, true)
-	dis := u.Disassemble()
-	for _, want := range []string{"loadl+const+bin", "loadl+loadl+bin", "const+storel"} {
-		if !strings.Contains(dis, want) {
-			t.Errorf("no %s superinstruction emitted:\n%s", want, dis)
+	// The superinstructions are part of Base, the canonical code that
+	// defines the step counts; macro-ops are built on top of it in Code.
+	emitted := map[OpCode]bool{}
+	for _, in := range findFunc(t, u, "sum").Base {
+		emitted[in.Op] = true
+	}
+	for _, want := range []OpCode{OpLoadLocalConstBin, OpLoadLocal2Bin, OpConstStoreLocal} {
+		if !emitted[want] {
+			t.Errorf("no %s superinstruction emitted:\n%s", want, u.Disassemble())
 		}
 	}
 	plain := compileMode(t, src, false)
 	if strings.Contains(plain.Disassemble(), "+") {
-		t.Fatal("DisableOptimize still emitted fused instructions")
+		t.Fatal("DisableOptimize still emitted fused instructions or macro-ops")
 	}
 	for _, u := range []*Unit{u, plain} {
 		out, err := runUnit(u, "")
@@ -184,12 +189,12 @@ func classify(n) {
 func main() { println(classify(12)); }`
 	u := compileMode(t, src, true)
 	f := findFunc(t, u, "classify")
-	for i, in := range f.Code {
+	for i, in := range f.Base {
 		if in.Op != OpJump && in.Op != OpJumpIfFalse {
 			continue
 		}
 		tgt := in.A
-		if tgt < len(f.Code) && f.Code[tgt].Op == OpJump && f.Code[tgt].A != tgt && f.Code[tgt].A != in.A {
+		if int(tgt) < len(f.Base) && f.Base[tgt].Op == OpJump && f.Base[tgt].A != tgt && f.Base[tgt].A != in.A {
 			t.Errorf("instr %d still jumps to a jump (target %d):\n%s", i, tgt, u.Disassemble())
 		}
 	}

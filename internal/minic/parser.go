@@ -7,10 +7,31 @@ import (
 
 // Parser is a recursive-descent parser with one token of lookahead.
 type Parser struct {
-	lex *Lexer
-	tok Token
-	err *Error // first error; parsing stops at the first diagnostic
+	lex   *Lexer
+	tok   Token
+	err   *Error // first error; parsing stops at the first diagnostic
+	depth int    // nesting levels entered (see descend)
 }
+
+// maxNesting bounds how deep expressions, unary chains, blocks and else-if
+// chains may nest in all. The parser, the compiler and the printer recurse
+// once per level, and a source nested a million levels deep would overflow
+// the Go stack, which kills the process: no recover catches it.
+const maxNesting = 1000
+
+// descend enters one nesting level. Past maxNesting it fails the parse at
+// the current token and reports false; otherwise the caller must ascend on
+// its way out.
+func (p *Parser) descend() bool {
+	if p.depth >= maxNesting {
+		p.fail("nesting deeper than %d levels", maxNesting)
+		return false
+	}
+	p.depth++
+	return true
+}
+
+func (p *Parser) ascend() { p.depth-- }
 
 // Parse parses a full source file.
 func Parse(src string) (*Program, error) {
@@ -126,6 +147,10 @@ func (p *Parser) parseVarDecl() *VarDecl {
 
 func (p *Parser) parseBlock() *Block {
 	pos := p.pos()
+	if !p.descend() {
+		return &Block{position: pos}
+	}
+	defer p.ascend()
 	p.expectOp("{")
 	b := &Block{position: pos}
 	for p.err == nil && !p.isOp("}") && p.tok.Kind != TokEOF {
@@ -200,6 +225,10 @@ func (p *Parser) parseSimpleStmt() Stmt {
 
 func (p *Parser) parseIf() Stmt {
 	pos := p.pos()
+	if !p.descend() {
+		return nil
+	}
+	defer p.ascend()
 	p.expectKeyword("if")
 	p.expectOp("(")
 	cond := p.parseExpr()
@@ -268,6 +297,10 @@ var binaryPrec = map[string]int{
 }
 
 func (p *Parser) parseExpr() Expr {
+	if !p.descend() {
+		return nil
+	}
+	defer p.ascend()
 	return p.parseBinary(1)
 }
 
@@ -289,6 +322,10 @@ func (p *Parser) parseBinary(minPrec int) Expr {
 
 func (p *Parser) parseUnary() Expr {
 	if p.isOp("-") || p.isOp("!") {
+		if !p.descend() {
+			return nil
+		}
+		defer p.ascend()
 		pos := p.pos()
 		op := p.tok.Lit
 		p.next()

@@ -123,3 +123,34 @@ func TestVMHandlesManyLocals(t *testing.T) {
 		t.Fatalf("many locals = %q, %v", out, err)
 	}
 }
+
+// TestDeepNestingIsACompileError: a million levels of parentheses, unary
+// minus or blocks fit under the portal's upload limit, and parsing them
+// recursed until the Go stack overflowed, which kills the process. Past
+// maxNesting levels they are a compile error with a position, from both
+// the compiler and the formatter.
+func TestDeepNestingIsACompileError(t *testing.T) {
+	const depth = 1_000_000
+	for _, tc := range []struct{ name, src string }{
+		{"parentheses", "func main() { println(" + strings.Repeat("(", depth) + "1" + strings.Repeat(")", depth) + "); }"},
+		{"unary", "func main() { println(" + strings.Repeat("-", depth) + "1); }"},
+		{"blocks", "func main() " + strings.Repeat("{", depth) + strings.Repeat("}", depth)},
+		{"else-if", "func main() { var x = 1; " + strings.Repeat("if (x == 0) { } else ", 10_000) + "{ } }"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := CompileSource(tc.src); err == nil || !strings.Contains(err.Error(), "nesting deeper than 1000 levels") {
+				t.Fatalf("CompileSource error = %v", err)
+			} else if !strings.HasPrefix(err.Error(), "1:") {
+				t.Fatalf("CompileSource error lacks a line:col position: %v", err)
+			}
+			if _, err := Format(tc.src); err == nil || !strings.Contains(err.Error(), "nesting deeper") {
+				t.Fatalf("Format error = %v", err)
+			}
+		})
+	}
+	// Nesting up to the bound still compiles and runs.
+	src := "func main() { println(" + strings.Repeat("(", 900) + "1" + strings.Repeat(")", 900) + "); }"
+	if out, err := tryRun(src, ""); err != nil || out != "1\n" {
+		t.Fatalf("900 levels: out = %q, err = %v", out, err)
+	}
+}

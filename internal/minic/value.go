@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"unicode/utf8"
 	"unsafe"
 )
 
@@ -133,40 +134,126 @@ func (v Value) Th() *Thread { return (*Thread)(v.ref(KindThread)) }
 // Bool reports the truthiness of a bool value.
 func (v Value) Bool() bool { return v.Kind == KindBool && v.I != 0 }
 
-// String renders the value the way print does.
+// maxValueText caps the text of one printed value at 1 MiB, the size of a
+// job's default output ring: a longer text is cut there and ends in "...".
+const maxValueText = 1 << 20
+
+// maxPathScan is how deep the path of arrays being rendered may grow before
+// appendValue looks arrays up in a set instead of scanning the path.
+const maxPathScan = 32
+
+// String renders the value the way print does (see appendValue).
 func (v Value) String() string {
+	if v.Kind == KindString && v.I <= maxValueText {
+		return v.Str()
+	}
+	return string(appendValue(nil, v))
+}
+
+// appendValue appends v's text, the way print renders it, to dst. It walks
+// nested arrays with an explicit stack, so their depth costs no Go stack;
+// an array already on the path from v to the element being rendered, a
+// cycle, renders as [...]; and a text longer than maxValueText is cut there
+// and ends in "...", so neither a huge array nor one that shares its
+// sub-arrays many times over can take unbounded time or memory.
+func appendValue(dst []byte, v Value) []byte {
+	start := len(dst)
+	limit := start + maxValueText
+	if v.Kind != KindArray {
+		return cutText(appendScalar(dst, v, limit), start, limit)
+	}
+	type frame struct {
+		arr  *Array
+		next int
+	}
+	var inline [8]frame
+	path := append(inline[:0], frame{arr: v.Arr()})
+	var deep map[*Array]bool // the arrays on path, once it is deep
+	dst = append(dst, '[')
+	for len(path) > 0 && len(dst) <= limit {
+		top := &path[len(path)-1]
+		if top.next == len(top.arr.Elems) {
+			dst = append(dst, ']')
+			delete(deep, top.arr)
+			path = path[:len(path)-1]
+			continue
+		}
+		if top.next > 0 {
+			dst = append(dst, ' ')
+		}
+		e := top.arr.Elems[top.next]
+		top.next++
+		if e.Kind != KindArray {
+			dst = appendScalar(dst, e, limit)
+			continue
+		}
+		a := e.Arr()
+		cyclic := deep[a]
+		for i := 0; deep == nil && i < len(path); i++ {
+			cyclic = cyclic || path[i].arr == a
+		}
+		if cyclic {
+			dst = append(dst, "[...]"...)
+			continue
+		}
+		if deep == nil && len(path) == maxPathScan {
+			deep = make(map[*Array]bool, 2*maxPathScan)
+			for _, f := range path {
+				deep[f.arr] = true
+			}
+		}
+		if deep != nil {
+			deep[a] = true
+		}
+		dst = append(dst, '[')
+		path = append(path, frame{arr: a})
+	}
+	return cutText(dst, start, limit)
+}
+
+// appendScalar appends the text of a value that is not an array. A string
+// is appended only up to one byte past limit, enough for cutText to see
+// that it was cut.
+func appendScalar(dst []byte, v Value, limit int) []byte {
 	switch v.Kind {
 	case KindUnit:
-		return "()"
+		return append(dst, "()"...)
 	case KindInt:
-		return strconv.FormatInt(v.I, 10)
+		return strconv.AppendInt(dst, v.I, 10)
 	case KindBool:
-		if v.I != 0 {
-			return "true"
-		}
-		return "false"
+		return strconv.AppendBool(dst, v.I != 0)
 	case KindFloat:
-		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
+		return strconv.AppendFloat(dst, v.Float(), 'g', -1, 64)
 	case KindString:
-		return v.Str()
-	case KindArray:
-		s := "["
-		for i, e := range v.Arr().Elems {
-			if i > 0 {
-				s += " "
-			}
-			s += e.String()
+		s := v.Str()
+		if room := limit + 1 - len(dst); len(s) > room {
+			s = s[:max(room, 0)]
 		}
-		return s + "]"
+		return append(dst, s...)
 	case KindMutex:
-		return "<mutex>"
+		return append(dst, "<mutex>"...)
 	case KindSem:
-		return "<semaphore>"
+		return append(dst, "<semaphore>"...)
 	case KindThread:
-		return fmt.Sprintf("<thread %d>", v.I)
+		dst = append(dst, "<thread "...)
+		return append(strconv.AppendInt(dst, v.I, 10), '>')
 	default:
-		return "<?>"
+		return append(dst, "<?>"...)
 	}
+}
+
+// cutText ends a value's text, which began at dst[start], at limit with
+// "..." if it runs past limit, backing off to the start of a UTF-8
+// sequence so no character is split.
+func cutText(dst []byte, start, limit int) []byte {
+	if len(dst) <= limit {
+		return dst
+	}
+	n := limit
+	for n > start && !utf8.RuneStart(dst[n]) {
+		n--
+	}
+	return append(dst[:n], "..."...)
 }
 
 // numeric returns the value as float64 for mixed arithmetic.

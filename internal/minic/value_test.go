@@ -169,3 +169,85 @@ func main() {
 		t.Fatalf("after the run and a GC, the returned strings read %q, want %q", v.String(), want)
 	}
 }
+
+// TestPrintArrayCyclesAndSharing: an array on the path from the printed
+// value to itself prints as [...]; one that is only shared prints in full.
+// Rendering a cycle used to recurse until the Go stack overflowed.
+func TestPrintArrayCyclesAndSharing(t *testing.T) {
+	got := run(t, `
+func main() {
+	var a = array(2);
+	a[0] = a;
+	a[1] = 7;
+	println(a);
+	var b = array(1);
+	b[0] = a;
+	a[1] = b;
+	println(b);
+	var x = array(1);
+	var y = array(2);
+	y[0] = x;
+	y[1] = x;
+	println(y, "s", 1.5, true);
+}`)
+	if want := "[[...] 7]\n[[[...] [...]]]\n[[0] [0]] s 1.5 true\n"; got != want {
+		t.Fatalf("output = %q, want %q", got, want)
+	}
+	// A path deeper than maxPathScan finds its cycle through the set.
+	var sb strings.Builder
+	sb.WriteString("func main() { var root = array(1); var a = root;\n")
+	sb.WriteString("for (var i = 0; i < 100; i = i + 1) { var b = array(1); a[0] = b; a = b; }\n")
+	sb.WriteString("a[0] = root; println(root); }")
+	want := strings.Repeat("[", 101) + "[...]" + strings.Repeat("]", 101) + "\n"
+	if got := run(t, sb.String()); got != want {
+		t.Fatalf("deep cycle = %q, want %q", got, want)
+	}
+}
+
+// TestPrintedValueTextIsCapped: a value's text stops at maxValueText bytes
+// and ends in "...", so an array that shares its sub-arrays 2^60 times
+// over prints at once instead of for ever, and a long string is cut too.
+func TestPrintedValueTextIsCapped(t *testing.T) {
+	got := run(t, `
+func main() {
+	var a = array(2);
+	for (var i = 0; i < 60; i = i + 1) {
+		var b = array(2);
+		b[0] = a;
+		b[1] = a;
+		a = b;
+	}
+	println(a);
+}`)
+	if len(got) != maxValueText+len("...\n") || !strings.HasPrefix(got, "[[[[") || !strings.HasSuffix(got, "...\n") {
+		t.Fatalf("output: %d bytes, starts %q, ends %q", len(got), got[:min(8, len(got))], got[max(0, len(got)-8):])
+	}
+	long := StringValue(strings.Repeat("é", maxValueText))
+	if s := long.String(); len(s) > maxValueText+3 || !strings.HasSuffix(s, "é...") {
+		t.Fatalf("long string: %d bytes, ends %q", len(s), s[len(s)-8:])
+	}
+}
+
+// TestPrintLargeArrayAllocatesLinearly: rendering a 100k-element array
+// allocates a small constant multiple of its text. It used to build the
+// text with s +=, copying it once per element.
+func TestPrintLargeArrayAllocatesLinearly(t *testing.T) {
+	elems := make([]Value, 100_000)
+	for i := range elems {
+		elems[i] = IntValue(int64(i))
+	}
+	v := arrayValue(elems)
+	n := len(v.String())
+	best := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_ = v.String()
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	if best > 8*uint64(n) {
+		t.Fatalf("rendering %d bytes of text allocated %d bytes, want <= %d", n, best, 8*n)
+	}
+	t.Logf("%d bytes of text, %d bytes allocated (%.1fx)", n, best, float64(best)/float64(n))
+}

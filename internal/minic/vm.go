@@ -210,11 +210,10 @@ func (m *Machine) Run() (Value, error) {
 }
 
 func (m *Machine) runInit() error {
-	if len(m.unit.GlobalInit) == 0 {
+	if m.unit.Init == nil {
 		return nil
 	}
-	f := &CompiledFunc{Name: "<init>", Code: m.unit.GlobalInit, MaxStack: m.unit.InitMaxStack}
-	_, err := m.callFunction(&m.main, f, nil)
+	_, err := m.callFunction(&m.main, m.unit.Init, nil)
 	return err
 }
 
@@ -327,6 +326,12 @@ func (m *Machine) callFunction(t *Thread, f *CompiledFunc, args []Value) (Value,
 // base; arena[base:base+NumParams] already hold the arguments. The frame
 // layout is [locals | operand stack], and a callee's frame overlaps the
 // caller's stack top so arguments become parameter slots without copying.
+//
+// It dispatches f.Code, where a macro-op charges its window's W steps at
+// once. Where the step batch would fill inside a window, or a macro-op
+// declines, it runs f.Base[pc] alone, charged one step, and carries on
+// through the originals after it, so steps, quantum ends and errors are
+// those of f.Base (see macro.go).
 func (m *Machine) exec(st *frameArena, f *CompiledFunc, base, depth int) (Value, error) {
 	if depth > maxCallDepth {
 		return UnitValue(), fmt.Errorf("minic: call depth exceeds %d (runaway recursion?)", maxCallDepth)
@@ -347,20 +352,31 @@ func (m *Machine) exec(st *frameArena, f *CompiledFunc, base, depth int) (Value,
 		locals[i] = Value{}
 	}
 	sp := 0
-	code := f.Code
+	code, canon := f.Code, f.Base
 	consts := m.unit.Consts
 	for pc := 0; pc < len(code); pc++ {
-		st.pending++
+		in := &code[pc]
+		st.pending += int64(in.W)
 		if st.pending >= cancelCheckInterval {
-			if err := m.endQuantum(st); err != nil {
-				return UnitValue(), err
+			// The batch is full, perhaps inside a macro-op's window: run
+			// the window's first instruction alone, so the quantum ends
+			// where it would one instruction at a time.
+			st.pending -= int64(in.W) - 1
+			in = &canon[pc]
+			if st.pending >= cancelCheckInterval {
+				if err := m.endQuantum(st); err != nil {
+					return UnitValue(), err
+				}
 			}
 		}
-		in := &code[pc]
 		if audit && sp > f.MaxStack {
 			return UnitValue(), fmt.Errorf("minic: internal: %s pc=%d operand stack depth %d exceeds MaxStack %d",
 				f.Name, pc, sp, f.MaxStack)
 		}
+		// pc moves to the window's last instruction: a taken branch sets it,
+		// and the loop steps past the window.
+		pc += int(in.W) - 1
+	dispatch:
 		switch in.Op {
 		case OpConst:
 			stack[sp] = consts[in.A]
@@ -378,30 +394,38 @@ func (m *Machine) exec(st *frameArena, f *CompiledFunc, base, depth int) (Value,
 			sp--
 			m.globals[in.A] = stack[sp]
 		case OpJump:
-			pc = in.A - 1
+			pc = int(in.A) - 1
 		case OpJumpIfFalse:
 			sp--
 			c := stack[sp]
 			if c.Kind != KindBool {
-				return UnitValue(), errAt(in.Line, 0, "condition is %s, not bool", c.Kind)
+				return UnitValue(), errAt(int(in.Line), 0, "condition is %s, not bool", c.Kind)
 			}
 			if c.I == 0 {
-				pc = in.A - 1
+				pc = int(in.A) - 1
 			}
 		case OpCall:
 			// The callee's frame starts where its arguments already sit on
 			// our operand stack, so no argument copying happens; only the
 			// arena pointer can move (growth), hence the re-slice below.
-			calleeBase := base + f.NumLocals + sp - in.B
+			calleeBase := base + f.NumLocals + sp - int(in.B)
 			v, err := m.exec(st, m.unit.Funcs[in.A], calleeBase, depth+1)
 			if err != nil {
 				return UnitValue(), err
 			}
 			locals = st.arena[base : base+f.NumLocals : base+f.NumLocals]
 			stack = st.arena[base+f.NumLocals : frameTop : frameTop]
-			sp -= in.B
+			sp -= int(in.B)
 			stack[sp] = v
 			sp++
+		case OpLoadLocalCallB, OpLoadGlobalCallB:
+			if in.Op == OpLoadLocalCallB {
+				stack[sp] = locals[in.D]
+			} else {
+				stack[sp] = m.globals[in.D]
+			}
+			sp++
+			fallthrough
 		case OpCallBuiltin:
 			// A builtin that can block on I/O or a peer rank (print, recv,
 			// ...) flushes first, so a stalled rank's steps are visible and
@@ -412,20 +436,22 @@ func (m *Machine) exec(st *frameArena, f *CompiledFunc, base, depth int) (Value,
 					return UnitValue(), err
 				}
 			}
-			v, err := b.fn(m, stack[sp-in.B:sp], in.Line)
+			n := int(in.B)
+			v, err := b.fn(m, stack[sp-n:sp], int(in.Line))
 			if err != nil {
 				return UnitValue(), err
 			}
-			sp -= in.B
+			sp -= n
 			stack[sp] = v
 			sp++
 		case OpSpawn:
 			// The spawned thread outlives this frame: copy the arguments out
 			// of the shared arena. This is the one argument copy left.
-			args := make([]Value, in.B)
-			copy(args, stack[sp-in.B:sp])
-			sp -= in.B
-			stack[sp] = m.spawn(in.A, args)
+			n := int(in.B)
+			args := make([]Value, n)
+			copy(args, stack[sp-n:sp])
+			sp -= n
+			stack[sp] = m.spawn(int(in.A), args)
 			sp++
 		case OpReturn:
 			return stack[sp-1], nil
@@ -433,52 +459,60 @@ func (m *Machine) exec(st *frameArena, f *CompiledFunc, base, depth int) (Value,
 			return UnitValue(), nil
 		case OpPop:
 			sp--
+		case OpLoadLocalBin, OpConstBin:
+			if in.Op == OpLoadLocalBin {
+				stack[sp] = locals[in.D]
+			} else {
+				stack[sp] = consts[in.D]
+			}
+			sp++
+			fallthrough
 		case OpBinary:
-			if fastBinary(in.A, &stack[sp-2], &stack[sp-1], &stack[sp-2]) {
+			if fastBinary(int(in.A), &stack[sp-2], &stack[sp-1], &stack[sp-2]) {
 				sp--
 				break
 			}
-			v, err := applyBinary(in.A, stack[sp-2], stack[sp-1], in.Line)
+			v, err := applyBinary(int(in.A), stack[sp-2], stack[sp-1], int(in.Line))
 			if err != nil {
 				return UnitValue(), err
 			}
 			sp--
 			stack[sp-1] = v
 		case OpUnary:
-			v, err := applyUnary(in.A, stack[sp-1], in.Line)
+			v, err := applyUnary(int(in.A), stack[sp-1], int(in.Line))
 			if err != nil {
 				return UnitValue(), err
 			}
 			stack[sp-1] = v
 		case OpIndex:
-			v, err := m.indexGet(&stack[sp-2], &stack[sp-1], in.Line)
+			v, err := m.indexGet(&stack[sp-2], &stack[sp-1], int(in.Line))
 			if err != nil {
 				return UnitValue(), err
 			}
 			sp--
 			stack[sp-1] = v
 		case OpSetIndex:
-			if err := m.indexSet(&stack[sp-3], &stack[sp-2], &stack[sp-1], in.Line); err != nil {
+			if err := m.indexSet(&stack[sp-3], &stack[sp-2], &stack[sp-1], int(in.Line)); err != nil {
 				return UnitValue(), err
 			}
 			sp -= 3
 		case OpLoadLocalConstBin:
-			if fastBinary(in.C, &locals[in.A], &consts[in.B], &stack[sp]) {
+			if fastBinary(int(in.C), &locals[in.A], &consts[in.B], &stack[sp]) {
 				sp++
 				break
 			}
-			v, err := applyBinary(in.C, locals[in.A], consts[in.B], in.Line)
+			v, err := applyBinary(int(in.C), locals[in.A], consts[in.B], int(in.Line))
 			if err != nil {
 				return UnitValue(), err
 			}
 			stack[sp] = v
 			sp++
 		case OpLoadLocal2Bin:
-			if fastBinary(in.C, &locals[in.A], &locals[in.B], &stack[sp]) {
+			if fastBinary(int(in.C), &locals[in.A], &locals[in.B], &stack[sp]) {
 				sp++
 				break
 			}
-			v, err := applyBinary(in.C, locals[in.A], locals[in.B], in.Line)
+			v, err := applyBinary(int(in.C), locals[in.A], locals[in.B], int(in.Line))
 			if err != nil {
 				return UnitValue(), err
 			}
@@ -486,11 +520,132 @@ func (m *Machine) exec(st *frameArena, f *CompiledFunc, base, depth int) (Value,
 			sp++
 		case OpConstStoreLocal:
 			locals[in.B] = consts[in.A]
+		case OpSetIndexOp:
+			arr, idx := &locals[in.A], &locals[in.B]
+			if arr.Kind != KindArray || idx.Kind != KindInt {
+				goto decline
+			}
+			elems := arr.Arr().Elems
+			if uint64(idx.I) >= uint64(len(elems)) {
+				goto decline
+			}
+			e := &elems[idx.I]
+			if !fastBinary(int(in.C), e, &locals[in.D], e) && !slowBinary(int(in.C), e, &locals[in.D], e) {
+				goto decline
+			}
+		case OpStoreGlobalOp:
+			g := &m.globals[in.A]
+			if !fastBinary(int(in.C), g, &consts[in.B], g) && !slowBinary(int(in.C), g, &consts[in.B], g) {
+				goto decline
+			}
+		case OpIndexLocals:
+			v, err := m.indexGet(&locals[in.A], &locals[in.B], int(in.Line))
+			if err != nil {
+				return UnitValue(), err
+			}
+			stack[sp] = v
+			sp++
+		case OpLoadLocal2BinStore:
+			x, y, d := &locals[in.A], &locals[in.B], &locals[in.D]
+			if !fastBinary(int(in.C), x, y, d) && !slowBinary(int(in.C), x, y, d) {
+				goto decline
+			}
+		case OpLoadLocalConstBinStore:
+			x, y, d := &locals[in.A], &consts[in.B], &locals[in.D]
+			if !fastBinary(int(in.C), x, y, d) && !slowBinary(int(in.C), x, y, d) {
+				goto decline
+			}
+		case OpBinStore:
+			x, y, d := &stack[sp-2], &stack[sp-1], &locals[in.D]
+			if !fastBinary(int(in.C), x, y, d) && !slowBinary(int(in.C), x, y, d) {
+				goto decline
+			}
+			sp -= 2
+		case OpLoadLocal2BinJump:
+			x, y, c := &locals[in.A], &locals[in.B], &stack[sp]
+			if !fastBinary(int(in.C), x, y, c) && !slowBinary(int(in.C), x, y, c) || c.Kind != KindBool {
+				goto decline
+			}
+			if c.I == 0 {
+				pc = int(in.D) - 1
+			}
+		case OpLoadLocalConstBinJump:
+			x, y, c := &locals[in.A], &consts[in.B], &stack[sp]
+			if !fastBinary(int(in.C), x, y, c) && !slowBinary(int(in.C), x, y, c) || c.Kind != KindBool {
+				goto decline
+			}
+			if c.I == 0 {
+				pc = int(in.D) - 1
+			}
+		case OpBinJump:
+			var c Value
+			x, y := &stack[sp-2], &stack[sp-1]
+			if !fastBinary(int(in.C), x, y, &c) && !slowBinary(int(in.C), x, y, &c) || c.Kind != KindBool {
+				goto decline
+			}
+			sp -= 2
+			if c.I == 0 {
+				pc = int(in.D) - 1
+			}
+		case OpLoadLocalBinStore:
+			x, y, d := &stack[sp-1], &locals[in.A], &locals[in.D]
+			if !fastBinary(int(in.C), x, y, d) && !slowBinary(int(in.C), x, y, d) {
+				goto decline
+			}
+			sp--
+		case OpLoadLocal2BinLoadBin:
+			var r Value
+			x, y, z := &locals[in.A], &locals[in.B], &locals[in.D]
+			if !fastBinary(int(in.C), x, y, &r) && !slowBinary(int(in.C), x, y, &r) ||
+				!fastBinary(int(in.E), &r, z, &stack[sp]) && !slowBinary(int(in.E), &r, z, &stack[sp]) {
+				goto decline
+			}
+			sp++
+		case OpConstLoadLocal2BinBin:
+			var r Value
+			x, y, c := &locals[in.A], &locals[in.B], &consts[in.D]
+			if !fastBinary(int(in.C), x, y, &r) && !slowBinary(int(in.C), x, y, &r) ||
+				!fastBinary(int(in.E), c, &r, &stack[sp]) && !slowBinary(int(in.E), c, &r, &stack[sp]) {
+				goto decline
+			}
+			sp++
+		case OpLoadLocal2BinBinJump:
+			var r, c Value
+			x, y, t := &locals[in.A], &locals[in.B], &stack[sp-1]
+			if !fastBinary(int(in.C), x, y, &r) && !slowBinary(int(in.C), x, y, &r) ||
+				!fastBinary(int(in.E), t, &r, &c) && !slowBinary(int(in.E), t, &r, &c) || c.Kind != KindBool {
+				goto decline
+			}
+			sp--
+			if c.I == 0 {
+				pc = int(in.D) - 1
+			}
 		default:
-			return UnitValue(), errAt(in.Line, 0, "internal: bad opcode %d", in.Op)
+			return UnitValue(), errAt(int(in.Line), 0, "internal: bad opcode %d", in.Op)
 		}
+		continue
+	decline:
+		// The window would fail before its last instruction: run its first
+		// instruction alone, charged one step, and the originals after it.
+		pc -= int(in.W) - 1
+		st.pending -= int64(in.W) - 1
+		in = &canon[pc]
+		goto dispatch
 	}
 	return UnitValue(), nil
+}
+
+// slowBinary completes a macro-op's operator where fastBinary declined
+// (string +, string comparisons): it writes a op b into dst through
+// applyBinary and reports true, or writes nothing and reports false where
+// the operator fails.
+func slowBinary(op int, a, b, dst *Value) bool {
+	v, err := applyBinary(op, *a, *b, 0)
+	if err != nil {
+		return false
+	}
+	*dst = v
+	return true
 }
 
 func (m *Machine) indexGet(arr, idx *Value, line int) (Value, error) {
@@ -600,17 +755,17 @@ func init() {
 // printArgs writes the whole line with one Write, so lines printed by
 // concurrent ranks into a shared job stream never interleave.
 func (m *Machine) printArgs(args []Value, nl bool) {
-	var sb strings.Builder
+	var line []byte
 	for i, a := range args {
 		if i > 0 {
-			sb.WriteByte(' ')
+			line = append(line, ' ')
 		}
-		sb.WriteString(a.String())
+		line = appendValue(line, a)
 	}
 	if nl {
-		sb.WriteByte('\n')
+		line = append(line, '\n')
 	}
-	io.WriteString(m.out, sb.String())
+	m.out.Write(line)
 }
 
 func biPrint(m *Machine, args []Value, _ int) (Value, error) {

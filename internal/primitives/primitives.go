@@ -10,6 +10,9 @@ import (
 	"sync/atomic"
 )
 
+// cacheLineSize is the coherence unit of the hosts the course runs on.
+const cacheLineSize = 64
+
 // Locker matches sync.Locker so the lock flavours are interchangeable.
 type Locker interface {
 	Lock()
@@ -19,8 +22,12 @@ type Locker interface {
 // TASLock is a test-and-set spin lock: every acquisition attempt performs an
 // atomic exchange, which in a real machine invalidates the cache line in
 // every other core on every spin — the behaviour Lab 2 studies.
+//
+// The spin counter sits a cache line away from state, so counting a failed
+// attempt adds no coherence traffic on the lock's own line.
 type TASLock struct {
 	state atomic.Int32
+	_     [cacheLineSize - 4]byte
 	spins atomic.Int64
 }
 
@@ -52,8 +59,13 @@ func (l *TASLock) Spins() int64 { return l.spins.Load() }
 // TTASLock is a test-and-test-and-set lock: it spins on a plain read (which
 // hits the local cache) and only attempts the expensive exchange when the
 // lock looks free, reducing coherence traffic versus TAS.
+//
+// The spin counter sits a cache line away from state: a write to the
+// lock's line on every read-only spin would bring back the traffic TTAS
+// exists to avoid.
 type TTASLock struct {
 	state atomic.Int32
+	_     [cacheLineSize - 4]byte
 	spins atomic.Int64
 }
 

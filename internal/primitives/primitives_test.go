@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // exerciseLock hammers a counter behind the lock and checks mutual exclusion.
@@ -88,6 +89,21 @@ func TestTASSpinsCountedUnderContention(t *testing.T) {
 	}
 	l.Unlock()
 	<-done
+}
+
+// TestSpinCounterOffTheLockLine: the spin counters are at least a cache
+// line from the lock word, so counting a spin never writes the lock's line.
+func TestSpinCounterOffTheLockLine(t *testing.T) {
+	var tas TASLock
+	var ttas TTASLock
+	for name, gap := range map[string]uintptr{
+		"TAS":  unsafe.Offsetof(tas.spins) - unsafe.Offsetof(tas.state),
+		"TTAS": unsafe.Offsetof(ttas.spins) - unsafe.Offsetof(ttas.state),
+	} {
+		if gap < cacheLineSize {
+			t.Errorf("%s: spins is %d bytes from state, want >= %d", name, gap, cacheLineSize)
+		}
+	}
 }
 
 func TestTicketLockFairnessFIFO(t *testing.T) {

@@ -27,6 +27,41 @@ func TestUnlockOfUnlockedMutexFailsOnlyThatJob(t *testing.T) {
 	}
 }
 
+// TestCyclicArrayPrintEndsOnlyThatJob: a job that prints an array holding
+// itself prints [...] where the cycle closes and ends, and the process goes
+// on to run the next job. Rendering the cycle used to recurse until the Go
+// stack overflowed, a fatal error that took the whole process down.
+func TestCyclicArrayPrintEndsOnlyThatJob(t *testing.T) {
+	r := newRig(t, Options{})
+	r.addSource(t, "alice", "/cycle.mc", `func main() { var a = array(1); a[0] = a; println(a); }`)
+	r.addSource(t, "bob", "/hello.mc", helloSrc)
+	j := r.submit(t, "alice", "/cycle.mc", "minic", 1)
+	if snap := r.drive(t, j.ID); snap.State != jobs.StateSucceeded || j.Stdout.String() != "[[...]]\n" {
+		t.Fatalf("state = %v, failure = %q, stdout = %q", snap.State, snap.Failure, j.Stdout.String())
+	}
+	good := r.submit(t, "bob", "/hello.mc", "minic", 1)
+	if snap := r.drive(t, good.ID); snap.State != jobs.StateSucceeded {
+		t.Fatalf("next job: state = %v, failure = %q", snap.State, snap.Failure)
+	}
+}
+
+// TestDeepNestingFailsOnlyThatCompile: a source nested a million
+// parentheses deep, 2 MB and under the upload limit, fails its own job
+// with a compile error instead of overflowing the Go stack in the compile.
+func TestDeepNestingFailsOnlyThatCompile(t *testing.T) {
+	r := newRig(t, Options{})
+	r.addSource(t, "alice", "/deep.mc", "func main() { println("+strings.Repeat("(", 1_000_000)+"1"+strings.Repeat(")", 1_000_000)+"); }")
+	r.addSource(t, "bob", "/hello.mc", helloSrc)
+	j := r.submit(t, "alice", "/deep.mc", "minic", 1)
+	if snap := r.drive(t, j.ID); snap.State != jobs.StateFailed || !strings.Contains(snap.Failure, "nesting deeper") {
+		t.Fatalf("state = %v, failure = %q", snap.State, snap.Failure)
+	}
+	good := r.submit(t, "bob", "/hello.mc", "minic", 1)
+	if snap := r.drive(t, good.ID); snap.State != jobs.StateSucceeded {
+		t.Fatalf("next job: state = %v, failure = %q", snap.State, snap.Failure)
+	}
+}
+
 // TestDeadlockedJobFailsAndFreesNodes: a job whose threads all park on each
 // other fails with the deadlock at once, not at its wall time, and gives
 // its nodes back.
