@@ -699,7 +699,7 @@ func (u *Unit) Disassemble() string {
 		fmt.Fprintf(&sb, "func %s (params=%d locals=%d maxstack=%d)\n",
 			f.Name, f.NumParams, f.NumLocals, f.MaxStack)
 		for i, in := range f.Code {
-			fmt.Fprintf(&sb, "  %3d: %-24s w=%d a=%d b=%d c=%d d=%d\n", i, in.Op, in.W, in.A, in.B, in.C, in.D)
+			fmt.Fprintf(&sb, "  %3d: %-24s w=%d a=%d b=%d c=%d d=%d e=%d\n", i, in.Op, in.W, in.A, in.B, in.C, in.D, in.E)
 		}
 	}
 	return sb.String()
