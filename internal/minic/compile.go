@@ -52,10 +52,6 @@ const (
 	OpConstBin               // push Consts[D], then binary A
 	OpLoadLocalCallB         // push locals[D], then call builtin A with B = 1 arg
 	OpLoadGlobalCallB        // push globals[D], then call builtin A with B = 1 arg
-	OpLoadLocalBinStore      // x = pop; locals[D] = x op C locals[A]
-	OpLoadLocal2BinLoadBin   // push (locals[A] op C locals[B]) op E locals[D]
-	OpConstLoadLocal2BinBin  // push Consts[D] op E (locals[A] op C locals[B])
-	OpLoadLocal2BinBinJump   // x = pop; if !(x op E (locals[A] op C locals[B])) { pc = D }
 )
 
 // opNames maps opcodes to mnemonic names for disassembly.
@@ -82,10 +78,6 @@ var opNames = [...]string{
 	OpConstBin:               "const;bin",
 	OpLoadLocalCallB:         "loadl;callb",
 	OpLoadGlobalCallB:        "loadg;callb",
-	OpLoadLocalBinStore:      "loadl;bin;storel",
-	OpLoadLocal2BinLoadBin:   "loadl+loadl+bin;loadl;bin",
-	OpConstLoadLocal2BinBin:  "const;loadl+loadl+bin;bin",
-	OpLoadLocal2BinBinJump:   "loadl+loadl+bin;bin;jfalse",
 }
 
 // String names the opcode.
@@ -127,12 +119,11 @@ var binOpCode = map[string]int{
 
 // Instr is one VM instruction, 20 bytes. Line carries the source line for
 // runtime diagnostics. C is the binary operator code of the fused
-// instructions; D and E are a macro-op's fourth operand and second
-// operator. W is the number of steps the instruction charges: 1 for every
+// instructions; D is a macro-op's fourth operand. W is the number of steps the instruction charges: 1 for every
 // instruction of Base, the window's width for a macro-op.
 type Instr struct {
 	Op      OpCode
-	W, C, E uint8
+	W, C    uint8
 	A, B, D int32
 	Line    int32
 }
@@ -699,7 +690,7 @@ func (u *Unit) Disassemble() string {
 		fmt.Fprintf(&sb, "func %s (params=%d locals=%d maxstack=%d)\n",
 			f.Name, f.NumParams, f.NumLocals, f.MaxStack)
 		for i, in := range f.Code {
-			fmt.Fprintf(&sb, "  %3d: %-24s w=%d a=%d b=%d c=%d d=%d e=%d\n", i, in.Op, in.W, in.A, in.B, in.C, in.D, in.E)
+			fmt.Fprintf(&sb, "  %3d: %-24s w=%d a=%d b=%d c=%d d=%d\n", i, in.Op, in.W, in.A, in.B, in.C, in.D)
 		}
 	}
 	return sb.String()

@@ -45,26 +45,6 @@ var macroShapes = []struct {
 		func(w []Instr) (Instr, bool) {
 			return Instr{Op: OpStoreGlobalOp, A: w[0].A, B: w[1].A, C: uint8(w[2].A)}, w[3].A == w[0].A
 		}},
-	// (x op y) op2 z
-	{[]OpCode{OpLoadLocal2Bin, OpLoadLocal, OpBinary},
-		func(w []Instr) (Instr, bool) {
-			return Instr{Op: OpLoadLocal2BinLoadBin, A: w[0].A, B: w[0].B, C: w[0].C, D: w[1].A, E: uint8(w[2].A)}, true
-		}},
-	// c op2 (x op y)
-	{[]OpCode{OpConst, OpLoadLocal2Bin, OpBinary},
-		func(w []Instr) (Instr, bool) {
-			return Instr{Op: OpConstLoadLocal2BinBin, A: w[1].A, B: w[1].B, C: w[1].C, D: w[0].A, E: uint8(w[2].A)}, true
-		}},
-	// if (t op2 (x op y))
-	{[]OpCode{OpLoadLocal2Bin, OpBinary, OpJumpIfFalse},
-		func(w []Instr) (Instr, bool) {
-			return Instr{Op: OpLoadLocal2BinBinJump, A: w[0].A, B: w[0].B, C: w[0].C, D: w[2].A, E: uint8(w[1].A)}, true
-		}},
-	// d = t op x
-	{[]OpCode{OpLoadLocal, OpBinary, OpStoreLocal},
-		func(w []Instr) (Instr, bool) {
-			return Instr{Op: OpLoadLocalBinStore, A: w[0].A, C: uint8(w[1].A), D: w[2].A}, true
-		}},
 	{[]OpCode{OpLoadLocal, OpLoadLocal, OpIndex},
 		func(w []Instr) (Instr, bool) { return Instr{Op: OpIndexLocals, A: w[0].A, B: w[1].A}, true }},
 	{[]OpCode{OpLoadLocal2Bin, OpStoreLocal},

@@ -587,39 +587,6 @@ func (m *Machine) exec(st *frameArena, f *CompiledFunc, base, depth int) (Value,
 			if c.I == 0 {
 				pc = int(in.D) - 1
 			}
-		case OpLoadLocalBinStore:
-			x, y, d := &stack[sp-1], &locals[in.A], &locals[in.D]
-			if !fastBinary(int(in.C), x, y, d) && !slowBinary(int(in.C), x, y, d) {
-				goto decline
-			}
-			sp--
-		case OpLoadLocal2BinLoadBin:
-			var r Value
-			x, y, z := &locals[in.A], &locals[in.B], &locals[in.D]
-			if !fastBinary(int(in.C), x, y, &r) && !slowBinary(int(in.C), x, y, &r) ||
-				!fastBinary(int(in.E), &r, z, &stack[sp]) && !slowBinary(int(in.E), &r, z, &stack[sp]) {
-				goto decline
-			}
-			sp++
-		case OpConstLoadLocal2BinBin:
-			var r Value
-			x, y, c := &locals[in.A], &locals[in.B], &consts[in.D]
-			if !fastBinary(int(in.C), x, y, &r) && !slowBinary(int(in.C), x, y, &r) ||
-				!fastBinary(int(in.E), c, &r, &stack[sp]) && !slowBinary(int(in.E), c, &r, &stack[sp]) {
-				goto decline
-			}
-			sp++
-		case OpLoadLocal2BinBinJump:
-			var r, c Value
-			x, y, t := &locals[in.A], &locals[in.B], &stack[sp-1]
-			if !fastBinary(int(in.C), x, y, &r) && !slowBinary(int(in.C), x, y, &r) ||
-				!fastBinary(int(in.E), t, &r, &c) && !slowBinary(int(in.E), t, &r, &c) || c.Kind != KindBool {
-				goto decline
-			}
-			sp--
-			if c.I == 0 {
-				pc = int(in.D) - 1
-			}
 		default:
 			return UnitValue(), errAt(int(in.Line), 0, "internal: bad opcode %d", in.Op)
 		}
