@@ -7,16 +7,18 @@ import (
 
 // Parser is a recursive-descent parser with one token of lookahead.
 type Parser struct {
-	lex   *Lexer
-	tok   Token
-	err   *Error // first error; parsing stops at the first diagnostic
-	depth int    // nesting levels entered (see descend)
+	lex    *Lexer
+	tok    Token
+	err    *Error // first error; parsing stops at the first diagnostic
+	depth  int    // nesting levels entered (see descend)
+	height int    // height of the expression parsed last (see tall)
 }
 
 // maxNesting bounds how deep expressions, unary chains, blocks and else-if
-// chains may nest in all. The parser, the compiler and the printer recurse
-// once per level, and a source nested a million levels deep would overflow
-// the Go stack, which kills the process: no recover catches it.
+// chains may nest in all, and how tall one expression's tree may grow. The
+// parser, the compiler and the printer recurse once per level, and a source
+// nested a million levels deep would overflow the Go stack, which kills the
+// process: no recover catches it.
 const maxNesting = 1000
 
 // descend enters one nesting level. Past maxNesting it fails the parse at
@@ -32,6 +34,18 @@ func (p *Parser) descend() bool {
 }
 
 func (p *Parser) ascend() { p.depth-- }
+
+// tall records h, the height of the expression just parsed: the most nodes
+// on a path from it down to a leaf. Past maxNesting it fails the parse. The
+// parser builds a chain of binary operators or of indexes in a loop, so
+// descend never sees the chain, but the compiler and the printer recurse
+// once per node of it.
+func (p *Parser) tall(h int) {
+	if h > maxNesting {
+		p.fail("nesting deeper than %d levels", maxNesting)
+	}
+	p.height = h
+}
 
 // Parse parses a full source file.
 func Parse(src string) (*Program, error) {
@@ -314,8 +328,10 @@ func (p *Parser) parseBinary(minPrec int) Expr {
 		op := p.tok.Lit
 		pos := p.pos()
 		p.next()
+		h := p.height
 		right := p.parseBinary(prec + 1)
 		left = &BinaryExpr{position: pos, Op: op, X: left, Y: right}
+		p.tall(1 + max(h, p.height))
 	}
 	return left
 }
@@ -329,7 +345,9 @@ func (p *Parser) parseUnary() Expr {
 		pos := p.pos()
 		op := p.tok.Lit
 		p.next()
-		return &UnaryExpr{position: pos, Op: op, X: p.parseUnary()}
+		x := p.parseUnary()
+		p.tall(1 + p.height)
+		return &UnaryExpr{position: pos, Op: op, X: x}
 	}
 	return p.parsePostfix()
 }
@@ -339,15 +357,18 @@ func (p *Parser) parsePostfix() Expr {
 	for p.err == nil && p.isOp("[") {
 		pos := p.pos()
 		p.next()
+		h := p.height
 		idx := p.parseExpr()
 		p.expectOp("]")
 		e = &IndexExpr{position: pos, X: e, Index: idx}
+		p.tall(1 + max(h, p.height))
 	}
 	return e
 }
 
 func (p *Parser) parsePrimary() Expr {
 	pos := p.pos()
+	p.height = 1
 	switch {
 	case p.tok.Kind == TokInt:
 		v, err := strconv.ParseInt(p.tok.Lit, 10, 64)
@@ -379,13 +400,16 @@ func (p *Parser) parsePrimary() Expr {
 		if p.isOp("(") {
 			p.next()
 			var args []Expr
+			h := 0
 			for p.err == nil && !p.isOp(")") {
 				if len(args) > 0 {
 					p.expectOp(",")
 				}
 				args = append(args, p.parseExpr())
+				h = max(h, p.height)
 			}
 			p.expectOp(")")
+			p.tall(1 + h)
 			return &CallExpr{position: pos, Name: name, Args: args}
 		}
 		return &Ident{position: pos, Name: name}

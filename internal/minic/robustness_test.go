@@ -126,16 +126,23 @@ func TestVMHandlesManyLocals(t *testing.T) {
 
 // TestDeepNestingIsACompileError: a million levels of parentheses, unary
 // minus or blocks fit under the portal's upload limit, and parsing them
-// recursed until the Go stack overflowed, which kills the process. Past
-// maxNesting levels they are a compile error with a position, from both
-// the compiler and the formatter.
+// recursed until the Go stack overflowed, which kills the process. A chain
+// of operators or of indexes that fills the upload limit is as tall, and
+// the compiler and the printer recurse once per link. Past maxNesting
+// levels each is a compile error with a position, from both the compiler
+// and the formatter.
 func TestDeepNestingIsACompileError(t *testing.T) {
 	const depth = 1_000_000
+	const upload = 8 << 20 // the portal's default max_upload_bytes
 	for _, tc := range []struct{ name, src string }{
 		{"parentheses", "func main() { println(" + strings.Repeat("(", depth) + "1" + strings.Repeat(")", depth) + "); }"},
 		{"unary", "func main() { println(" + strings.Repeat("-", depth) + "1); }"},
 		{"blocks", "func main() " + strings.Repeat("{", depth) + strings.Repeat("}", depth)},
 		{"else-if", "func main() { var x = 1; " + strings.Repeat("if (x == 0) { } else ", 10_000) + "{ } }"},
+		{"operator-chain", "func main() { var x = 1; println(" + strings.Repeat("x+", upload/2-32) + "x); }"},
+		{"index-chain", "func main() { var a = array(1); println(a" + strings.Repeat("[0]", upload/3-32) + "); }"},
+		{"chains-in-parentheses", "func main() { var x = 1; println(" + strings.Repeat("(", 100) + "x" +
+			strings.Repeat(strings.Repeat("+x", 100)+")", 100) + "); }"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := CompileSource(tc.src); err == nil || !strings.Contains(err.Error(), "nesting deeper than 1000 levels") {
@@ -152,5 +159,10 @@ func TestDeepNestingIsACompileError(t *testing.T) {
 	src := "func main() { println(" + strings.Repeat("(", 900) + "1" + strings.Repeat(")", 900) + "); }"
 	if out, err := tryRun(src, ""); err != nil || out != "1\n" {
 		t.Fatalf("900 levels: out = %q, err = %v", out, err)
+	}
+	// A 999-term chain under println's call is 1,000 levels tall.
+	src = "func main() { var x = 1; println(" + strings.Repeat("x+", maxNesting-2) + "x); }"
+	if out, err := tryRun(src, ""); err != nil || out != "999\n" {
+		t.Fatalf("%d-term chain: out = %q, err = %v", maxNesting-1, out, err)
 	}
 }

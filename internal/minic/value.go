@@ -134,17 +134,16 @@ func (v Value) Th() *Thread { return (*Thread)(v.ref(KindThread)) }
 // Bool reports the truthiness of a bool value.
 func (v Value) Bool() bool { return v.Kind == KindBool && v.I != 0 }
 
-// maxValueText caps the text of one printed value at 1 MiB, the size of a
-// job's default output ring: a longer text is cut there and ends in "...".
+// maxValueText caps the text of one printed array at 1 MiB, the default
+// size of a job's output ring; the cap is fixed, and stream_buffer_bytes
+// does not move it. A longer text is cut there and ends in "...". A
+// string, printed alone, is never cut: its text is only as long as the
+// string itself.
 const maxValueText = 1 << 20
-
-// maxPathScan is how deep the path of arrays being rendered may grow before
-// appendValue looks arrays up in a set instead of scanning the path.
-const maxPathScan = 32
 
 // String renders the value the way print does (see appendValue).
 func (v Value) String() string {
-	if v.Kind == KindString && v.I <= maxValueText {
+	if v.Kind == KindString {
 		return v.Str()
 	}
 	return string(appendValue(nil, v))
@@ -153,28 +152,28 @@ func (v Value) String() string {
 // appendValue appends v's text, the way print renders it, to dst. It walks
 // nested arrays with an explicit stack, so their depth costs no Go stack;
 // an array already on the path from v to the element being rendered, a
-// cycle, renders as [...]; and a text longer than maxValueText is cut there
-// and ends in "...", so neither a huge array nor one that shares its
-// sub-arrays many times over can take unbounded time or memory.
+// cycle, renders as [...]; and an array's text longer than maxValueText is
+// cut there and ends in "...", so neither a huge array nor one that shares
+// its sub-arrays many times over can take unbounded time or memory.
 func appendValue(dst []byte, v Value) []byte {
+	if v.Kind != KindArray {
+		return appendScalar(dst, v)
+	}
 	start := len(dst)
 	limit := start + maxValueText
-	if v.Kind != KindArray {
-		return cutText(appendScalar(dst, v, limit), start, limit)
-	}
 	type frame struct {
 		arr  *Array
 		next int
 	}
 	var inline [8]frame
 	path := append(inline[:0], frame{arr: v.Arr()})
-	var deep map[*Array]bool // the arrays on path, once it is deep
+	var onPath map[*Array]bool // the arrays on path, made at the first nested one
 	dst = append(dst, '[')
 	for len(path) > 0 && len(dst) <= limit {
 		top := &path[len(path)-1]
 		if top.next == len(top.arr.Elems) {
 			dst = append(dst, ']')
-			delete(deep, top.arr)
+			delete(onPath, top.arr)
 			path = path[:len(path)-1]
 			continue
 		}
@@ -184,37 +183,26 @@ func appendValue(dst []byte, v Value) []byte {
 		e := top.arr.Elems[top.next]
 		top.next++
 		if e.Kind != KindArray {
-			dst = appendScalar(dst, e, limit)
+			dst = appendScalar(dst, e)
 			continue
 		}
-		a := e.Arr()
-		cyclic := deep[a]
-		for i := 0; deep == nil && i < len(path); i++ {
-			cyclic = cyclic || path[i].arr == a
+		if onPath == nil {
+			onPath = map[*Array]bool{path[0].arr: true}
 		}
-		if cyclic {
+		a := e.Arr()
+		if onPath[a] {
 			dst = append(dst, "[...]"...)
 			continue
 		}
-		if deep == nil && len(path) == maxPathScan {
-			deep = make(map[*Array]bool, 2*maxPathScan)
-			for _, f := range path {
-				deep[f.arr] = true
-			}
-		}
-		if deep != nil {
-			deep[a] = true
-		}
+		onPath[a] = true
 		dst = append(dst, '[')
 		path = append(path, frame{arr: a})
 	}
 	return cutText(dst, start, limit)
 }
 
-// appendScalar appends the text of a value that is not an array. A string
-// is appended only up to one byte past limit, enough for cutText to see
-// that it was cut.
-func appendScalar(dst []byte, v Value, limit int) []byte {
+// appendScalar appends the text of a value that is not an array.
+func appendScalar(dst []byte, v Value) []byte {
 	switch v.Kind {
 	case KindUnit:
 		return append(dst, "()"...)
@@ -225,11 +213,7 @@ func appendScalar(dst []byte, v Value, limit int) []byte {
 	case KindFloat:
 		return strconv.AppendFloat(dst, v.Float(), 'g', -1, 64)
 	case KindString:
-		s := v.Str()
-		if room := limit + 1 - len(dst); len(s) > room {
-			s = s[:max(room, 0)]
-		}
-		return append(dst, s...)
+		return append(dst, v.Str()...)
 	case KindMutex:
 		return append(dst, "<mutex>"...)
 	case KindSem:
@@ -242,7 +226,7 @@ func appendScalar(dst []byte, v Value, limit int) []byte {
 	}
 }
 
-// cutText ends a value's text, which began at dst[start], at limit with
+// cutText ends an array's text, which began at dst[start], at limit with
 // "..." if it runs past limit, backing off to the start of a UTF-8
 // sequence so no character is split.
 func cutText(dst []byte, start, limit int) []byte {

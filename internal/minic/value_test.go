@@ -193,7 +193,7 @@ func main() {
 	if want := "[[...] 7]\n[[[...] [...]]]\n[[0] [0]] s 1.5 true\n"; got != want {
 		t.Fatalf("output = %q, want %q", got, want)
 	}
-	// A path deeper than maxPathScan finds its cycle through the set.
+	// A cycle a hundred arrays long closes on the root.
 	var sb strings.Builder
 	sb.WriteString("func main() { var root = array(1); var a = root;\n")
 	sb.WriteString("for (var i = 0; i < 100; i = i + 1) { var b = array(1); a[0] = b; a = b; }\n")
@@ -204,9 +204,11 @@ func main() {
 	}
 }
 
-// TestPrintedValueTextIsCapped: a value's text stops at maxValueText bytes
-// and ends in "...", so an array that shares its sub-arrays 2^60 times
-// over prints at once instead of for ever, and a long string is cut too.
+// TestPrintedValueTextIsCapped: an array's text stops at maxValueText
+// bytes and ends in "...", so an array that shares its sub-arrays 2^60
+// times over prints at once instead of for ever. A string longer than the
+// cap prints whole on its own and is cut, at a character boundary, only
+// inside an array.
 func TestPrintedValueTextIsCapped(t *testing.T) {
 	got := run(t, `
 func main() {
@@ -222,9 +224,16 @@ func main() {
 	if len(got) != maxValueText+len("...\n") || !strings.HasPrefix(got, "[[[[") || !strings.HasSuffix(got, "...\n") {
 		t.Fatalf("output: %d bytes, starts %q, ends %q", len(got), got[:min(8, len(got))], got[max(0, len(got)-8):])
 	}
-	long := StringValue(strings.Repeat("é", maxValueText))
-	if s := long.String(); len(s) > maxValueText+3 || !strings.HasSuffix(s, "é...") {
-		t.Fatalf("long string: %d bytes, ends %q", len(s), s[len(s)-8:])
+	text := strings.Repeat("é", maxValueText)
+	long := StringValue(text)
+	if s := long.String(); s != text {
+		t.Fatalf("long string: %d bytes, want %d", len(s), len(text))
+	}
+	if s := string(appendValue(nil, long)); s != text {
+		t.Fatalf("printed long string: %d bytes, want %d", len(s), len(text))
+	}
+	if s := arrayValue([]Value{long}).String(); len(s) > maxValueText+3 || !strings.HasPrefix(s, "[é") || !strings.HasSuffix(s, "é...") {
+		t.Fatalf("array of a long string: %d bytes, ends %q", len(s), s[len(s)-8:])
 	}
 }
 
